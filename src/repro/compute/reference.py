@@ -1,8 +1,9 @@
 """The ``"reference"`` compute backend: the pure-Python hot loops.
 
-These are the loops that lived inline in :mod:`repro.core.tmesh`,
-:mod:`repro.core.splitting`, and :mod:`repro.keytree.modified_tree`
-before the compute seam, moved here verbatim.  They are the *semantic
+FORWARD is :func:`repro.core.tmesh.forward_session`, the one heap-driven
+Fig. 2 loop; the split and marking loops lived inline in
+:mod:`repro.core.splitting` and :mod:`repro.keytree.modified_tree`
+before the compute seam and moved here verbatim.  They are the *semantic
 definition* of the seam's operations — every other backend must
 reproduce their output bitwise (same receipts in the same order, same
 edge lists, same floats; see ``tests/test_compute_backends.py``) — and
@@ -12,12 +13,11 @@ input.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.ids import Id
 from ..core.splitting import SplitSessionResult, split_for_next_hop
-from ..core.tmesh import OverlayEdge, Receipt, SessionPlan, SessionResult
+from ..core.tmesh import SessionResult, forward_session
 from . import ComputeBackend, register_backend
 
 
@@ -38,91 +38,14 @@ class ReferenceBackend(ComputeBackend):
         failed_hosts: Optional[set] = None,
     ) -> SessionResult:
         """One fault-free multicast session (no backups, no injected
-        faults): the fast path of ``run_multicast``.
+        faults): Fig. 2's event loop with nothing switched on.
 
         Copies sent to ``failed_hosts`` are lost along with their whole
-        subtree, exactly as in the general event loop.
+        subtree.
         """
-        ow_rows = topology.one_way_rows()
-        if ow_rows is not None:
-            return _fanout_dense(
-                sender_table, tables, topology, processing_delay, failed_hosts
-            )
-        return _fanout_scalar(
+        return forward_session(
             sender_table, tables, topology, processing_delay, failed_hosts
         )
-
-    def replay_plan(
-        self, plan: SessionPlan, topology, processing_delay: float = 0.0
-    ) -> SessionResult:
-        """Replay a :class:`~repro.core.tmesh.SessionPlan` against a
-        topology's delays (the pre-seam ``SessionPlan._replay``)."""
-        sender = plan.sender
-        sender_id = sender.user_id
-        result = SessionResult(sender=sender_id, sender_host=sender.host)
-        edges_append = result.edges.append
-        receipts = result.receipts
-        duplicates = result.duplicate_copies
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        schedule_for = plan._schedule_for
-        schedules = plan._schedules
-        ow_rows = topology.one_way_rows()
-        one_way_delay = topology.one_way_delay if ow_rows is None else None
-        queue: List[Tuple[float, int, Id, int, int, Id]] = []
-        seq = 0
-
-        # Seed: the sender forwards at level 0 / time 0.
-        now = 0.0
-        src_id, src_host = sender_id, sender.host
-        sched = plan._sender_schedule
-        while True:
-            if ow_rows is not None:
-                delays = ow_rows[src_host]
-                for i, nbr_id, nbr_host in sched:
-                    base_arrival = now + processing_delay + delays[nbr_host]
-                    edges_append(
-                        OverlayEdge(
-                            src_id, nbr_id, src_host, nbr_host, i, now, base_arrival
-                        )
-                    )
-                    heappush(
-                        queue, (base_arrival, seq, nbr_id, nbr_host, i + 1, src_id)
-                    )
-                    seq += 1
-            else:
-                for i, nbr_id, nbr_host in sched:
-                    base_arrival = (
-                        now + processing_delay + one_way_delay(src_host, nbr_host)
-                    )
-                    edges_append(
-                        OverlayEdge(
-                            src_id, nbr_id, src_host, nbr_host, i, now, base_arrival
-                        )
-                    )
-                    heappush(
-                        queue, (base_arrival, seq, nbr_id, nbr_host, i + 1, src_id)
-                    )
-                    seq += 1
-            # Drain deliveries until one triggers a new forward.
-            while True:
-                if not queue:
-                    return result
-                arrival, _, member_id, host, level, upstream = heappop(queue)
-                if member_id in receipts or member_id == sender_id:
-                    duplicates[member_id] = duplicates.get(member_id, 0) + 1
-                    continue
-                receipts[member_id] = Receipt(
-                    member_id, host, arrival, level, upstream
-                )
-                memo = schedules.get(member_id)
-                sched = memo[level] if memo is not None else None
-                if sched is None:
-                    sched = schedule_for(member_id, level)
-                if sched:
-                    now = arrival
-                    src_id, src_host = member_id, host
-                    break
 
     # ------------------------------------------------------------------
     # Rekey-message splitting (Fig. 5 / Theorem 2)
@@ -181,158 +104,6 @@ class ReferenceBackend(ComputeBackend):
         # Deterministic order: by depth then digits, so crypto-mode secret
         # generation is reproducible for a given rng.
         return sorted(marked, key=lambda n: (len(n), n.digits))
-
-
-def _fanout_dense(
-    sender_table, tables, topology, processing_delay, failed_hosts
-) -> SessionResult:
-    """The dense-delay fan-out: seed forward + inlined drain loop, moved
-    verbatim from ``run_multicast``'s fast path.  A sentinel receipt for
-    the sender catches copies sent back to it without a per-pop equality
-    test."""
-    sender = sender_table.owner
-    result = SessionResult(sender=sender.user_id, sender_host=sender.host)
-    failed = failed_hosts if failed_hosts is not None else set()
-    ow_rows = topology.one_way_rows()
-    edges_append = result.edges.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    queue: List[Tuple[float, int, object, int, Id]] = []
-    seq = 0
-    num_digits = sender_table.scheme.num_digits
-
-    # Seed: the sender's FORWARD at level 0 / time 0.
-    member_id = sender.user_id
-    member_host = sender.host
-    rows = (0,) if sender_table.is_server_table else range(num_digits)
-    delays = ow_rows[member_host]
-    base = 0.0 + processing_delay
-    row_primaries = sender_table.row_primaries
-    for i in rows:
-        level_up = i + 1
-        for j, nbr in row_primaries(i):
-            nbr_host = nbr.host
-            base_arrival = base + delays[nbr_host]
-            edges_append(
-                OverlayEdge(
-                    member_id, nbr.user_id, member_host, nbr_host, i, 0.0,
-                    base_arrival,
-                )
-            )
-            heappush(queue, (base_arrival, seq, nbr, level_up, member_id))
-            seq += 1
-
-    receipts = result.receipts
-    duplicates = result.duplicate_copies
-    sender_id = sender.user_id
-    tables_get = tables.get
-    receipts[sender_id] = None  # sentinel; removed below
-    while queue:
-        arrival, _, record, level, upstream = heappop(queue)
-        member_id = record.user_id
-        if failed and record.host in failed:
-            continue
-        if member_id in receipts:
-            duplicates[member_id] = duplicates.get(member_id, 0) + 1
-            continue
-        member_host = record.host
-        receipts[member_id] = Receipt(
-            member_id, member_host, arrival, level, upstream
-        )
-        if level >= num_digits:
-            continue
-        table = tables_get(member_id)
-        if table is None:
-            continue
-        delays = ow_rows[member_host]
-        base = arrival + processing_delay
-        for i in range(level, num_digits):
-            level_up = i + 1
-            for j, nbr in table.row_primaries(i):
-                nbr_host = nbr.host
-                base_arrival = base + delays[nbr_host]
-                edges_append(
-                    OverlayEdge(
-                        member_id,
-                        nbr.user_id,
-                        member_host,
-                        nbr_host,
-                        i,
-                        arrival,
-                        base_arrival,
-                    )
-                )
-                heappush(queue, (base_arrival, seq, nbr, level_up, member_id))
-                seq += 1
-    del receipts[sender_id]
-    return result
-
-
-def _fanout_scalar(
-    sender_table, tables, topology, processing_delay, failed_hosts
-) -> SessionResult:
-    """The scalar-delay fan-out (no dense RTT matrix built): the general
-    event loop of ``run_multicast`` restricted to the fault-free case.
-    Event keys, receipts, and edges are bitwise those of the general loop
-    with ``fault_plan=None`` (whose per-event extra delay is ``+ 0.0``, a
-    float no-op on the non-negative arrival times)."""
-    sender = sender_table.owner
-    result = SessionResult(sender=sender.user_id, sender_host=sender.host)
-    failed = failed_hosts if failed_hosts is not None else set()
-    one_way_delay = topology.one_way_delay
-    edges_append = result.edges.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    queue: List[Tuple[float, int, object, int, Id]] = []
-    seq = 0
-    num_digits = sender_table.scheme.num_digits
-
-    def forward(member, table, level: int, now: float) -> None:
-        nonlocal seq
-        if level >= num_digits:
-            return
-        rows = (0,) if table.is_server_table else range(level, num_digits)
-        member_id = member.user_id
-        member_host = member.host
-        base = now + processing_delay
-        for i in rows:
-            for j, nbr in table.row_primaries(i):
-                nbr_host = nbr.host
-                base_arrival = base + one_way_delay(member_host, nbr_host)
-                edges_append(
-                    OverlayEdge(
-                        member_id,
-                        nbr.user_id,
-                        member_host,
-                        nbr_host,
-                        i,
-                        now,
-                        base_arrival,
-                    )
-                )
-                heappush(queue, (base_arrival, seq, nbr, i + 1, member_id))
-                seq += 1
-
-    forward(sender, sender_table, 0, 0.0)
-    receipts = result.receipts
-    duplicates = result.duplicate_copies
-    sender_id = sender.user_id
-    tables_get = tables.get
-    while queue:
-        arrival, _, record, level, upstream = heappop(queue)
-        member_id = record.user_id
-        if record.host in failed:
-            continue  # the copy is lost at a crashed member
-        if member_id in receipts or member_id == sender_id:
-            duplicates[member_id] = duplicates.get(member_id, 0) + 1
-            continue
-        receipts[member_id] = Receipt(
-            member_id, record.host, arrival, level, upstream
-        )
-        table = tables_get(member_id)
-        if table is not None:
-            forward(record, table, level, arrival)
-    return result
 
 
 def make_backend() -> ReferenceBackend:

@@ -16,22 +16,17 @@ the sender receives exactly one copy.  The session runner below records
 enough to let the test suite check that theorem, Lemmas 1/2, and every
 latency metric of Section 4.1 (user stress, application-layer delay, RDP).
 
-Two runners are provided:
-
-* :func:`run_multicast` — the fully general event loop (failures, backup
-  neighbors, fault injection);
-* :class:`SessionPlan` — a reusable fan-out schedule for replaying many
-  fault-free sessions over the same ``(sender_table, tables)`` pair, as
-  the figure experiments do.  The plan memoizes each member's per-level
-  forwarding schedule and reads delays from the topology's dense one-way
-  matrix when available, producing results identical to
-  :func:`run_multicast` at a fraction of the cost.
+One pure-Python runner exists: :func:`forward_session`, Fig. 2 as an
+event queue (failed hosts, backup neighbors, fault injection).
+:func:`run_multicast` hands fault-free sessions to the
+:mod:`repro.compute` seam — whose ``"reference"`` backend is that same
+loop and whose ``"numpy"`` backend compiles the fan-out once per table
+state — and runs everything else through it directly.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from ..compute import resolve_backend
@@ -284,6 +279,33 @@ class SessionResult:
         return result
 
 
+def _observe_session(
+    result: SessionResult,
+    sender_table: NeighborTable,
+    tables: Dict[Id, NeighborTable],
+    topology: Topology,
+    processing_delay: float,
+    lossless: bool = True,
+    planned: bool = False,
+) -> SessionResult:
+    """Show a finished session to the active verification and trace
+    contexts (both are no-ops when off)."""
+    ctx = _verify_hooks.ACTIVE
+    if ctx is not None:
+        ctx.observe_session(
+            result,
+            sender_table,
+            tables,
+            topology,
+            processing_delay,
+            lossless=lossless,
+        )
+    tctx = _trace_hooks.ACTIVE
+    if tctx is not None:
+        tctx.observe_session(result, topology, planned=planned)
+    return result
+
+
 def run_multicast(
     sender_table: NeighborTable,
     tables: Dict[Id, NeighborTable],
@@ -298,8 +320,7 @@ def run_multicast(
 
     ``sender_table`` is the key server's one-row table for rekey transport
     or the sending user's table for data transport; ``tables`` maps every
-    user ID to its neighbor table.  Delivery is simulated with an event
-    queue ordered by arrival time; each hop costs the topology's one-way
+    user ID to its neighbor table.  Each hop costs the topology's one-way
     delay plus ``processing_delay`` per forward.
 
     ``failed_hosts`` models crashed members whose records may still be in
@@ -317,200 +338,146 @@ def run_multicast(
 
     ``compute`` selects the :mod:`repro.compute` backend used for the
     fault-free case (a name, an instance, or ``None`` for the process
-    default); backup recovery and fault injection always run the general
-    event loop below.
+    default); backup recovery and fault injection always run
+    :func:`forward_session`.
     """
-    if not use_backups and fault_plan is None:
+    if use_backups or fault_plan is not None:
+        result = forward_session(
+            sender_table,
+            tables,
+            topology,
+            processing_delay,
+            failed_hosts,
+            use_backups,
+            fault_plan,
+        )
+    else:
         # The pure FORWARD fan-out (with at most lost subtrees) is the
         # compute seam's job; backends are bitwise-equivalent here.
         result = resolve_backend(compute).fanout_session(
             sender_table, tables, topology, processing_delay, failed_hosts
         )
-        ctx = _verify_hooks.ACTIVE
-        if ctx is not None:
-            ctx.observe_session(
-                result,
-                sender_table,
-                tables,
-                topology,
-                processing_delay,
-                lossless=not failed_hosts,
-            )
-        tctx = _trace_hooks.ACTIVE
-        if tctx is not None:
-            tctx.observe_session(result, topology)
-        return result
+    return _observe_session(
+        result,
+        sender_table,
+        tables,
+        topology,
+        processing_delay,
+        lossless=not failed_hosts and not use_backups and fault_plan is None,
+    )
+
+
+def forward_session(
+    sender_table: NeighborTable,
+    tables: Dict[Id, NeighborTable],
+    topology: Topology,
+    processing_delay: float = 0.0,
+    failed_hosts: Optional[set] = None,
+    use_backups: bool = False,
+    fault_plan: Optional["FaultPlan"] = None,
+) -> SessionResult:
+    """Fig. 2 FORWARD as an event queue ordered by arrival time: the
+    semantic definition of a session (arguments as in
+    :func:`run_multicast`), and the ``"reference"`` compute backend's
+    fan-out when called with no backups and no fault plan."""
     sender = sender_table.owner
-    result = SessionResult(sender=sender.user_id, sender_host=sender.host)
-    counter = itertools.count()  # tie-breaker for the heap
-    queue: List[Tuple[float, int, UserRecord, int, Id]] = []
+    sender_id = sender.user_id
+    result = SessionResult(sender=sender_id, sender_host=sender.host)
+    receipts = result.receipts
+    duplicates = result.duplicate_copies
+    edges_append = result.edges.append
     failed = failed_hosts if failed_hosts is not None else set()
     # Dense one-way delay rows when the topology has them (same values as
     # one_way_delay, just without a Python call per hop).
     ow_rows = topology.one_way_rows()
     one_way_delay = topology.one_way_delay
-    edges_append = result.edges.append
+    tables_get = tables.get
     heappush = heapq.heappush
-    next_seq = counter.__next__
+    heappop = heapq.heappop
+    queue: List[Tuple[float, int, UserRecord, int, Id]] = []
+    seq = 0  # tie-breaker for the heap
+    # A sentinel receipt makes a copy sent back to the sender a duplicate
+    # without an ``Id.__eq__`` call per delivery; removed on return.
+    receipts[sender_id] = None
 
-    def pick_next_hop(table: NeighborTable, i: int, j: int) -> Optional[UserRecord]:
-        """The (i,j)-primary, or — with backups enabled — the closest
-        live neighbor of the same entry."""
-        entry = table.entry(i, j)
-        if not entry:
-            return None
-        if not use_backups:
-            return entry[0]
-        return next((r for r in entry if r.host not in failed), None)
-
-    def forward(member: UserRecord, table: NeighborTable, level: int, now: float) -> None:
-        """The FORWARD routine of Fig. 2 for one member."""
-        num_digits = table.scheme.num_digits
-        if level >= num_digits:
-            return
-        if table.is_server_table:
-            rows = (0,)
-        else:
-            rows = range(level, num_digits)
-        member_id = member.user_id
-        member_host = member.host
+    # The sender holds the message at forwarding level 0 at time 0 (the
+    # key server has the one row); every later forwarder is a member
+    # taking its first copy off the queue at ``level``.
+    num_digits = sender_table.scheme.num_digits
+    rows = (0,) if sender_table.is_server_table else range(num_digits)
+    member_id, member_host, table, now = sender_id, sender.host, sender_table, 0.0
+    while True:
+        # FORWARD (Fig. 2) for ``member_id``: one copy per primary of ``rows``.
         delays = ow_rows[member_host] if ow_rows is not None else None
+        base = now + processing_delay
         for i in rows:
-            for j, primary in table.row_primaries(i):
-                nbr = primary
-                if use_backups and primary.host in failed:
-                    nbr = pick_next_hop(table, i, j)
+            for j, nbr in table.row_primaries(i):
+                if use_backups and nbr.host in failed:
+                    # K > 1 recovery: the closest live neighbor of the
+                    # same (i,j) entry stands in for the failed primary.
+                    nbr = next(
+                        (r for r in table.entry(i, j) if r.host not in failed),
+                        None,
+                    )
                     if nbr is None:
                         continue
-                if fault_plan is None:
-                    extra_delays = (0.0,)
-                else:
-                    extra_delays = fault_plan.apply(
-                        member_host, nbr.host, None, now
-                    )
-                base_arrival = (
-                    now
-                    + processing_delay
-                    + (
-                        delays[nbr.host]
-                        if delays is not None
-                        else one_way_delay(member_host, nbr.host)
-                    )
+                nbr_host = nbr.host
+                arrival = base + (
+                    delays[nbr_host]
+                    if delays is not None
+                    else one_way_delay(member_host, nbr_host)
                 )
                 edges_append(
                     OverlayEdge(
-                        member_id,
-                        nbr.user_id,
-                        member_host,
-                        nbr.host,
-                        i,
-                        now,
-                        base_arrival,
+                        member_id, nbr.user_id, member_host, nbr_host, i, now, arrival
                     )
                 )
-                for extra in extra_delays:
-                    heappush(
-                        queue,
-                        (
-                            base_arrival + extra,
-                            next_seq(),
-                            nbr,
-                            i + 1,
-                            member_id,
-                        ),
-                    )
-
-    forward(sender, sender_table, 0, 0.0)
-    receipts = result.receipts
-    duplicates = result.duplicate_copies
-    sender_id = sender.user_id
-    tables_get = tables.get
-    heappop = heapq.heappop
-    while queue:
-        arrival, _, record, level, upstream = heappop(queue)
-        member_id = record.user_id
-        if record.host in failed:
-            continue  # the copy is lost at a crashed member
-        if member_id in receipts or member_id == sender_id:
-            duplicates[member_id] = duplicates.get(member_id, 0) + 1
-            continue  # Theorem 1 says this never fires with consistent tables
-        receipts[member_id] = Receipt(
-            member_id,
-            record.host,
-            arrival,
-            level,
-            upstream,
-        )
-        table = tables_get(member_id)
-        if table is not None:
-            forward(record, table, level, arrival)
-    ctx = _verify_hooks.ACTIVE
-    if ctx is not None:
-        ctx.observe_session(
-            result,
-            sender_table,
-            tables,
-            topology,
-            processing_delay,
-            lossless=not failed and not use_backups and fault_plan is None,
-        )
-    tctx = _trace_hooks.ACTIVE
-    if tctx is not None:
-        tctx.observe_session(result, topology)
-    return result
+                if fault_plan is None:
+                    heappush(queue, (arrival, seq, nbr, i + 1, member_id))
+                    seq += 1
+                    continue
+                for extra in fault_plan.apply(member_host, nbr_host, None, now):
+                    heappush(queue, (arrival + extra, seq, nbr, i + 1, member_id))
+                    seq += 1
+        # Deliver copies in arrival order until one is a first copy to a
+        # member with rows left to forward, who goes next.
+        while True:
+            if not queue:
+                del receipts[sender_id]
+                return result
+            now, _, member, level, upstream = heappop(queue)
+            member_host = member.host
+            if failed and member_host in failed:
+                continue  # the copy is lost at a crashed member
+            member_id = member.user_id
+            if member_id in receipts:
+                duplicates[member_id] = duplicates.get(member_id, 0) + 1
+                continue  # Theorem 1 says this never fires with consistent tables
+            receipts[member_id] = Receipt(
+                member_id, member_host, now, level, upstream
+            )
+            if level < num_digits:
+                table = tables_get(member_id)
+                if table is not None:
+                    rows = range(level, num_digits)
+                    break
 
 
 class SessionPlan:
-    """A reusable fan-out schedule over a fixed ``(sender_table, tables)``.
+    """A ``(sender_table, tables)`` pair to run fault-free sessions over.
 
-    The figure experiments replay thousands of fault-free sessions in
-    which only the topology delays (or the rekey message) change between
-    batches; the forwarding schedule — which rows each member forwards and
-    who the primaries are — depends only on the tables.  The plan memoizes
-    each member's flattened per-level schedule on first use, so repeated
-    :meth:`run` calls skip every ``row_primaries`` table scan.
-
-    The plan is valid while the tables are unchanged; build a fresh plan
-    after joins/leaves mutate them.  :meth:`run` produces a
-    :class:`SessionResult` identical (receipts, edges, duplicates, and
-    their ordering) to :func:`run_multicast` on the same inputs with no
-    failures and no fault injection.
+    The figure experiments replay thousands of sessions in which only
+    the topology delays (or the rekey message) change between batches.
+    :meth:`run` reads the live tables, so a plan stays valid across
+    joins and leaves, and produces a :class:`SessionResult` identical
+    (receipts, edges, duplicates, and their ordering) to
+    :func:`run_multicast` on the same inputs with no failures and no
+    fault injection; traces mark its sessions ``planned``.
     """
 
     def __init__(self, sender_table: NeighborTable, tables: Dict[Id, NeighborTable]):
         self.sender_table = sender_table
         self.tables = tables
-        self.sender = sender_table.owner
-        num_digits = sender_table.scheme.num_digits
-        self._num_digits = num_digits
-        # Flattened (row, user_id, host, record) schedule of the sender.
-        self._sender_schedule = self._flatten(sender_table, 0)
-        # member user ID -> per-level memo of flattened schedules.
-        self._schedules: Dict[Id, List[Optional[Tuple]]] = {}
-
-    @staticmethod
-    def _flatten(table: NeighborTable, level: int) -> Tuple:
-        num_digits = table.scheme.num_digits
-        if level >= num_digits:
-            return ()
-        rows = (0,) if table.is_server_table else range(level, num_digits)
-        out = []
-        for i in rows:
-            for _, primary in table.row_primaries(i):
-                out.append((i, primary.user_id, primary.host))
-        return tuple(out)
-
-    def _schedule_for(self, member_id: Id, level: int) -> Tuple:
-        memo = self._schedules.get(member_id)
-        if memo is None:
-            memo = [None] * (self._num_digits + 1)
-            self._schedules[member_id] = memo
-        sched = memo[level]
-        if sched is None:
-            table = self.tables.get(member_id)
-            sched = () if table is None else self._flatten(table, level)
-            memo[level] = sched
-        return sched
 
     def run(
         self,
@@ -518,34 +485,29 @@ class SessionPlan:
         processing_delay: float = 0.0,
         compute=None,
     ) -> SessionResult:
-        """Replay one fault-free session against ``topology``'s delays.
+        """Run one fault-free session against ``topology``'s delays.
 
         ``compute`` selects the :mod:`repro.compute` backend (name,
         instance, or ``None`` for the process default); every backend
-        replays bitwise identically.
+        produces the same session bitwise.
         """
-        result = resolve_backend(compute).replay_plan(
-            self, topology, processing_delay
+        result = resolve_backend(compute).fanout_session(
+            self.sender_table, self.tables, topology, processing_delay
         )
-        ctx = _verify_hooks.ACTIVE
-        if ctx is not None:
-            ctx.observe_session(
-                result,
-                self.sender_table,
-                self.tables,
-                topology,
-                processing_delay,
-            )
-        tctx = _trace_hooks.ACTIVE
-        if tctx is not None:
-            tctx.observe_session(result, topology, planned=True)
-        return result
+        return _observe_session(
+            result,
+            self.sender_table,
+            self.tables,
+            topology,
+            processing_delay,
+            planned=True,
+        )
 
 
 def plan_session(
     sender_table: NeighborTable, tables: Dict[Id, NeighborTable]
 ) -> SessionPlan:
-    """Build a :class:`SessionPlan` for repeated fault-free replays."""
+    """Build a :class:`SessionPlan` for repeated fault-free sessions."""
     return SessionPlan(sender_table, tables)
 
 
@@ -559,9 +521,8 @@ def rekey_session(
 ) -> SessionResult:
     """A rekey-transport session: the key server is the sender.
 
-    Pass a :class:`SessionPlan` built over the same ``(server_table,
-    tables)`` to reuse its memoized fan-out schedule across repeated
-    sessions (identical results, much faster)."""
+    A :class:`SessionPlan` built over the same ``(server_table,
+    tables)`` runs the identical session, marked ``planned`` in traces."""
     if not server_table.is_server_table:
         raise ValueError("rekey transport must be sourced at the key server")
     if plan is not None:

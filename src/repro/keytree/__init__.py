@@ -9,7 +9,6 @@ from .original_tree import (
     TreeEncryption,
 )
 from .cluster import ClusterBatchResult, ClusterRekeyingTree, LeaderUnicast
-from .array_store import ArrayClusterStore
 from .recovery import (
     FecDecodeResult,
     FecDecoder,
@@ -42,5 +41,4 @@ __all__ = [
     "ClusterRekeyingTree",
     "ClusterBatchResult",
     "LeaderUnicast",
-    "ArrayClusterStore",
 ]

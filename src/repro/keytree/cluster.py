@@ -57,33 +57,15 @@ class ClusterBatchResult:
 
 
 class ClusterRekeyingTree:
-    """Modified key tree + Appendix-B cluster rekeying.
-
-    ``shard_depth`` generalizes Appendix B's bottom clusters into the
-    scale ladder's sharding unit (docs/PERFORMANCE.md, "Scale ladder"):
-    a cluster is a level-``shard_depth`` ID subtree.  The paper's
-    heuristic is ``shard_depth = D - 1`` (the default); the large-N
-    architecture promotes shallower depths — e.g. depth 1 groups the
-    top-level subtrees that the streaming rekey path processes one at a
-    time with bounded working sets.
-    """
+    """Modified key tree + Appendix-B cluster rekeying."""
 
     def __init__(
         self,
         scheme: IdScheme,
         crypto: bool = False,
         rng: Optional[np.random.Generator] = None,
-        shard_depth: Optional[int] = None,
     ):
-        if shard_depth is None:
-            shard_depth = scheme.num_digits - 1
-        if not 1 <= shard_depth <= scheme.num_digits - 1:
-            raise ValueError(
-                f"shard_depth must be in [1, {scheme.num_digits - 1}], "
-                f"got {shard_depth}"
-            )
         self.scheme = scheme
-        self.shard_depth = shard_depth
         self._tree = ModifiedKeyTree(scheme, crypto=crypto, rng=rng)
         # Cluster prefix -> members in join order; the first is the leader.
         self._clusters: Dict[Id, List[Id]] = {}
@@ -96,7 +78,7 @@ class ClusterRekeyingTree:
         return self._tree
 
     def cluster_of(self, user_id: Id) -> Id:
-        return user_id.prefix(self.shard_depth)
+        return user_id.prefix(self.scheme.num_digits - 1)
 
     def leader_of(self, user_id: Id) -> Id:
         """Current leader of a user's bottom cluster."""
@@ -155,50 +137,6 @@ class ClusterRekeyingTree:
                 # whose u-node replaces it in the key tree.
                 self._tree.request_join(members[0])
         return was_leader
-
-    # ------------------------------------------------------------------
-    def shards(self) -> Dict[Id, Tuple[Id, ...]]:
-        """Cluster prefix -> members in join order (leader first) — the
-        sharded membership view, in insertion order."""
-        return {
-            prefix: tuple(members)
-            for prefix, members in self._clusters.items()
-        }
-
-    def state_digest(self) -> str:
-        """Canonical blake2b over the sharded membership state: clusters
-        in ascending packed-prefix order, each as ``(prefix code, member
-        count, member codes in join order)`` little-endian.
-
-        :meth:`repro.keytree.array_store.ArrayClusterStore.state_digest`
-        computes the identical digest from its arrays — equal digests
-        mean byte-equal shard membership, leadership included (the
-        leader is the join-order head).  Raises ``ValueError`` for
-        schemes whose IDs don't bit-pack.
-        """
-        import hashlib
-        import struct
-
-        from ..compute.packing import pack_id
-
-        hasher = hashlib.blake2b(digest_size=16)
-        keyed = []
-        for prefix, members in self._clusters.items():
-            packed = pack_id(prefix)
-            if packed is None:
-                raise ValueError(
-                    f"cluster prefix {prefix} does not bit-pack"
-                )
-            keyed.append((packed[0], members))
-        keyed.sort(key=lambda pair: pair[0])
-        for prefix_code, members in keyed:
-            hasher.update(struct.pack("<QQ", prefix_code, len(members)))
-            for member in members:
-                packed = pack_id(member)
-                if packed is None:
-                    raise ValueError(f"member {member} does not bit-pack")
-                hasher.update(struct.pack("<Q", packed[0]))
-        return hasher.hexdigest()
 
     # ------------------------------------------------------------------
     def process_batch(self) -> ClusterBatchResult:

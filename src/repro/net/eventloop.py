@@ -1,20 +1,23 @@
-"""Standalone event-loop backend for the scheduling seam.
+"""The virtual-clock event loop: the one heap drain behind the
+scheduling seam.
 
-A deterministic virtual-clock event loop that implements
+A deterministic event loop that implements
 :class:`repro.net.scheduling.Scheduler` with **no** ``repro.sim``
-import: the reliable T-mesh transport (and, later, the always-on
-rekeying service) can run on it without pulling in the discrete event
-simulator.  The API is asyncio-flavoured — :meth:`EventLoop.time`,
-:meth:`EventLoop.call_soon` / :meth:`EventLoop.call_later` /
-:meth:`EventLoop.call_at` return cancellable :class:`TimerHandle`\\ s,
-mirroring ``asyncio.AbstractEventLoop`` — so a future service mode can
-swap the virtual clock for a real one and back the same callbacks with
-sockets.
+import.  All three scheduling backends run on it: ``"eventloop"``
+directly, ``"simulator"`` under its historical names
+(:mod:`repro.sim.engine`: ``Simulator`` *is* :class:`EventLoop`,
+``Event`` *is* :class:`TimerHandle`), and ``"asyncio"`` through the
+:class:`repro.service.aio.AsyncioScheduler` subclass, which adds wall
+pacing and stream IO around the same queue.  The API is
+asyncio-flavoured — :meth:`EventLoop.time`, :meth:`EventLoop.call_soon`
+/ :meth:`EventLoop.call_later` / :meth:`EventLoop.call_at` return
+cancellable :class:`TimerHandle`\\ s, mirroring
+``asyncio.AbstractEventLoop``.
 
-Semantics match the simulator engine exactly (the cross-backend
-conformance suite in ``tests/test_scheduler_conformance.py`` and the
-stateful model in ``tests/test_scheduler_stateful.py`` hold both to the
-same reference):
+Semantics (the stateful model in ``tests/test_scheduler_stateful.py``
+holds the loop to a 40-line brute-force reference; the cross-backend
+conformance suite in ``tests/test_scheduler_conformance.py`` holds the
+three backends to each other):
 
 * callbacks fire in ``(when, sequence)`` order — simultaneous timers
   run in scheduling order (deterministic FIFO tie-breaking);
@@ -123,10 +126,9 @@ class EventLoop:
         """Run timers until the queue drains, virtual time passes
         ``until``, or ``max_events`` have run.  Returns timers executed.
 
-        Traced runs emit the same ``sim.run`` span and ``sim.events``
-        counter as the simulator backend — the span is keyed on the
-        scheduling interface, so traces stay byte-identical across
-        backends."""
+        Traced runs emit the ``sim.run`` span and ``sim.events``
+        counter — keyed on the scheduling interface, not the backend
+        name, so traces stay byte-identical across backends."""
         tctx = _trace_hooks.ACTIVE
         if tctx is None:
             return self._drain(until, max_events)

@@ -10,22 +10,21 @@ concrete :class:`Transport` fabric — so protocol code depends on the
 seam, never on a particular engine behind it (DESIGN.md §3: protocol
 layers stay independent of orchestration layers).
 
-Three backends implement the seam:
+Three backend names, one loop — :class:`repro.net.eventloop.EventLoop`
+is the only heap drain:
 
-* ``"simulator"`` — a thin adapter over the existing discrete event
-  simulator (:mod:`repro.sim.adapter`): :class:`repro.sim.engine.
-  Simulator` already *is* a :class:`Scheduler`, and :class:`repro.sim.
-  node.Network` subclasses :class:`Transport` without overriding its
-  delivery logic, so behaviour is byte-identical to the pre-seam code —
-  arbitrated by the committed golden traces and the fixed-seed oracle
-  suite.
-* ``"eventloop"`` — a standalone virtual-clock event loop
-  (:mod:`repro.net.eventloop`) with an asyncio-flavoured API and **no**
-  ``repro.sim`` import, the substrate the service mode grew from.
-* ``"asyncio"`` — a real asyncio loop (:mod:`repro.service.aio`) that
-  runs the same virtual-clock contract deterministically by default and
-  can pace against the wall clock (``realtime=True``) for the live
-  service; its transport subclass pushes frames over asyncio streams.
+* ``"eventloop"`` — the loop itself (:mod:`repro.net.eventloop`), with
+  an asyncio-flavoured API and **no** ``repro.sim`` import.
+* ``"simulator"`` — the same loop under the discrete event simulator's
+  names (:mod:`repro.sim.engine`: ``Simulator`` is ``EventLoop``), with
+  :class:`repro.sim.node.Network` subclassing :class:`Transport` only to
+  add the ``simulator`` attribute the orchestration layers address the
+  engine by (:mod:`repro.sim.adapter`).
+* ``"asyncio"`` — :class:`repro.service.aio.AsyncioScheduler`, an
+  ``EventLoop`` subclass that runs the same virtual-clock contract
+  deterministically by default and can pace against the wall clock
+  (``realtime=True``) through a real asyncio loop for the live service;
+  its transport subclass pushes frames over asyncio streams.
 
 Backends register themselves in a name -> factory registry
 (:func:`register_backend`); :func:`create_backend` resolves the two
@@ -121,7 +120,7 @@ class MessageStats:
 class Transport:
     """Hosts exchanging messages over a topology with per-link latency.
 
-    This is the single delivery implementation both backends share: a
+    This is the single delivery implementation every backend shares: a
     message arrives one-way-delay later unless the destination detached,
     the legacy ``drop_filter`` eats it, or the installed
     :class:`~repro.faults.FaultPlan` drops it.  The fault plan injects

@@ -2,15 +2,14 @@
 exposed through the :mod:`repro.net.scheduling` seam.
 
 The adapter is deliberately thin — :class:`~repro.sim.engine.Simulator`
-already implements the :class:`~repro.net.scheduling.Scheduler`
-protocol, and :class:`~repro.sim.node.Network` subclasses the shared
+is :class:`repro.net.eventloop.EventLoop` under its historical name,
+and :class:`~repro.sim.node.Network` subclasses the shared
 :class:`~repro.net.scheduling.Transport` fabric without overriding its
-delivery logic — so sessions built through this backend are
-byte-identical to sessions that constructed the simulator directly.
-The committed golden traces (``tests/fixtures/trace_*.jsonl``) and the
-fixed-seed oracle suite (``tools/check_invariants.py``) arbitrate that
-claim; the cross-backend conformance suite holds this backend and
-:mod:`repro.net.eventloop` to the same observable behaviour.
+delivery logic.  What the backend adds is the simulator-flavoured
+surface (``Network.simulator``) the examples and orchestration layers
+read; the committed golden traces (``tests/fixtures/trace_*.jsonl``)
+and the fixed-seed oracle suite (``tools/check_invariants.py``) pin
+its behaviour.
 """
 
 from __future__ import annotations

@@ -1,147 +1,15 @@
-"""A small discrete event simulator.
+"""The discrete event simulator, by its historical names.
 
 The paper: "For efficiency, we wrote our own discrete event-driven
 simulator.  We simulate the sending and the reception of a message as
-events."  This engine does exactly that: a time-ordered event queue with
-deterministic FIFO tie-breaking, plus message-passing helpers in
-:mod:`repro.sim.node`.  The experiment drivers use it to run concurrent
-joins and multicast sessions; the quickstart examples use it to run the
-secure-group application end to end.
-
-The engine is one implementation of the :class:`repro.net.scheduling.
-Scheduler` protocol (exposed as the ``"simulator"`` backend by
-:mod:`repro.sim.adapter`); :mod:`repro.net.eventloop` is the other, and
-the cross-backend conformance suite holds both to the same observable
-semantics.
+events."  That time-ordered event queue with deterministic FIFO
+tie-breaking is :class:`repro.net.eventloop.EventLoop` — the one
+virtual-clock loop in the repo.  This module only keeps the names the
+simulator-flavoured layers (:mod:`repro.sim.node`, the ``"simulator"``
+backend of :mod:`repro.sim.adapter`, the examples) address it by.
 """
 
-from __future__ import annotations
+from ..net.eventloop import EventLoop as Simulator
+from ..net.eventloop import TimerHandle as Event
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
-
-from ..trace import hooks as _trace_hooks
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.  Ordering is (time, sequence number) so
-    simultaneous events run in scheduling order."""
-
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    canceled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        self.canceled = True
-
-
-class Simulator:
-    """Time-ordered event loop."""
-
-    #: Clock capability (see :func:`repro.net.scheduling.clock_of`):
-    #: purely virtual time — exact-time assertions hold.
-    clock = "virtual"
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._queue: List[Event] = []
-        self._seq = itertools.count()
-        self.events_processed = 0
-        self._probe: Optional[Callable[["Simulator"], None]] = None
-        self._probe_every = 1
-        self._probe_countdown = 0
-
-    def set_invariant_probe(
-        self,
-        probe: Optional[Callable[["Simulator"], None]],
-        every: int = 1,
-    ) -> None:
-        """Install a callback run after every ``every``-th executed event.
-
-        The verification layer uses this to audit protocol state at event
-        granularity (e.g. table consistency between interval boundaries).
-        ``probe=None`` removes the hook; with no probe installed the event
-        loop pays a single falsy test per event.
-        """
-        if every < 1:
-            raise ValueError(f"probe interval must be >= 1, got {every}")
-        self._probe = probe
-        self._probe_every = every
-        self._probe_countdown = every
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
-        """Run ``action`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, action)
-
-    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at {time}, current time is {self.now}"
-            )
-        event = Event(time, next(self._seq), action)
-        heapq.heappush(self._queue, event)
-        return event
-
-    def step(self) -> bool:
-        """Run the next pending event; False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.canceled:
-                continue
-            self.now = event.time
-            self.events_processed += 1
-            event.action()
-            if self._probe is not None:
-                self._probe_countdown -= 1
-                if self._probe_countdown <= 0:
-                    self._probe_countdown = self._probe_every
-                    self._probe(self)
-            return True
-        return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Run events until the queue drains, simulated time passes
-        ``until``, or ``max_events`` have run.  Returns events executed."""
-        tctx = _trace_hooks.ACTIVE
-        if tctx is None:
-            return self._drain(until, max_events)
-        with tctx.span("sim.run") as span:
-            executed = self._drain(until, max_events)
-            span.set(events=executed, now_ms=self.now)
-        tctx.registry.inc("sim.events", executed)
-        return executed
-
-    def _drain(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                break
-            head = self._queue[0]
-            if head.canceled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and head.time > until:
-                break
-            self.step()
-            executed += 1
-        if until is not None and (not self._queue or self._queue[0].time > until):
-            self.now = max(self.now, until)
-        return executed
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.canceled)
+__all__ = ["Event", "Simulator"]

@@ -6,7 +6,7 @@ exchange messages that arrive after the topology's one-way delay.  This is
 the substrate the secure-group application examples run on.
 
 The delivery logic itself lives in :class:`repro.net.scheduling.
-Transport` — the scheduling seam both backends share — and
+Transport` — the scheduling seam every backend shares — and
 :class:`Network` is the simulator-flavoured adapter over it (see
 :mod:`repro.sim.adapter`): it adds nothing but the ``simulator``
 attribute name the orchestration layers address the engine by.

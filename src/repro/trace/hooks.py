@@ -7,9 +7,9 @@ A single module-level slot, :data:`ACTIVE`, holds the installed
 SessionPlan`, :meth:`repro.alm.reliable.ReliableSession.multicast`,
 :meth:`repro.keytree.modified_tree.ModifiedKeyTree.process_batch`,
 the ``run()`` of every :class:`repro.net.scheduling.Scheduler` backend
-(:meth:`repro.sim.engine.Simulator.run` and :meth:`repro.net.eventloop.
-EventLoop.run` emit the same ``sim.run`` span — the hook is keyed on
-the scheduling interface, not the simulator), :class:`repro.distributed.
+(:meth:`repro.net.eventloop.EventLoop.run` emits the ``sim.run`` span —
+the hook is keyed on the scheduling interface, not the backend name),
+:class:`repro.distributed.
 harness.DistributedGroup`, and :meth:`repro.experiments.parallel.
 ParallelRunner.map` — read the slot once per session/run/batch and do
 nothing further when it is ``None``, so the bench lane pays one

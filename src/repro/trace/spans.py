@@ -9,7 +9,7 @@ same seed produces the same bytes, run after run and process after
 process (see ``tests/test_trace_golden.py``).
 
 This module deliberately imports nothing from the rest of the package so
-the hot modules (``repro.core.tmesh``, ``repro.sim.engine``) can import
+the hot modules (``repro.core.tmesh``, ``repro.net.eventloop``) can import
 the trace hook layer without dragging protocol code along.
 """
 

@@ -26,6 +26,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
+from ..compute.packing import MASKS, pack_id
 from ..core.id_tree import IdTree
 from ..core.ids import Id, IdScheme
 from ..core.neighbor_table import NeighborTable, check_k_consistency
@@ -159,12 +162,6 @@ class ForwardPrefixChecker(Checker):
     def _fast_clean(self, session: SessionResult, lossless: bool) -> bool:
         """True iff the session is *provably* clean by the vectorized
         aggregates; False means "run the reference sweep", not "dirty"."""
-        try:
-            import numpy as np
-
-            from ..compute.packing import MASKS, pack_id
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            return False
         receipts = session.receipts
         n = len(receipts)
         if n == 0:

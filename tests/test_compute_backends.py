@@ -10,9 +10,7 @@ overhaul's equivalence discipline, see ``tests/test_perf_equivalence.py``
 and docs/PERFORMANCE.md).
 
 Runs in tier-1 via the ``conformance`` marker and standalone via
-``pytest -q -m compute``.  Every numpy-backed case *skips* (never fails)
-when the ``fast`` extra is not installed; the registry/fallback tests run
-regardless.
+``pytest -q -m compute``.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from hypothesis import strategies as st
 
 import repro.compute as compute_registry
 from repro.compute import (
-    ComputeUnavailable,
     available_backends,
     create_backend,
     resolve_backend,
@@ -42,10 +39,7 @@ pytestmark = [pytest.mark.conformance, pytest.mark.compute]
 
 @pytest.fixture(scope="module")
 def numpy_backend():
-    try:
-        return create_backend("numpy")
-    except ComputeUnavailable:
-        pytest.skip("fast extra not installed; numpy backend unavailable")
+    return create_backend("numpy")
 
 
 def _session_state(session):
@@ -180,7 +174,7 @@ class TestSplitEquivalence:
         """The whole pipeline on one backend equals the whole pipeline on
         the other: sessions produced by either backend are interchangeable
         inputs to either split kernel."""
-        backend = create_backend_or_skip()
+        backend = create_backend("numpy")
         ids = [Id([a, b, 0]) for a in range(4) for b in range(3)]
         topology, _, tables, server_table = make_static_world(
             SMALL_SCHEME, ids, seed=3
@@ -202,13 +196,6 @@ class TestSplitEquivalence:
         ref = run_split_rekey(ref_session, message, compute="reference")
         vec = run_split_rekey(vec_session, message, compute=backend)
         assert _split_state(ref) == _split_state(vec)
-
-
-def create_backend_or_skip():
-    try:
-        return create_backend("numpy")
-    except ComputeUnavailable:
-        pytest.skip("fast extra not installed; numpy backend unavailable")
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +252,7 @@ class TestMarkUpdatedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Registry contract and graceful degradation (run without numpy too)
+# Registry contract
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_listed(self):
@@ -287,20 +274,6 @@ class TestRegistry:
             assert resolve_backend(None).name == "reference"
         finally:
             compute_registry.set_default_backend(None)
-
-    def test_missing_numpy_degrades_to_reference(self, monkeypatch):
-        """REPRO_COMPUTE=numpy with no numpy importable must *run*, on
-        the reference backend — the fast extra can never break a user."""
-        from repro.compute import numpy_backend as nb
-
-        monkeypatch.setattr(nb, "np", None)
-        monkeypatch.setattr(compute_registry, "_INSTANCES", {})
-        monkeypatch.setattr(compute_registry, "_DEFAULT", None)
-        monkeypatch.setattr(compute_registry, "_DEFAULT_NAME", None)
-        monkeypatch.setenv("REPRO_COMPUTE", "numpy")
-        with pytest.raises(ComputeUnavailable):
-            create_backend("numpy")
-        assert compute_registry.default_backend().name == "reference"
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setattr(compute_registry, "_DEFAULT", None)

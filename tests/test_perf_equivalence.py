@@ -298,8 +298,9 @@ class TestSessionEquivalence:
             assert planned.duplicate_copies == classic.duplicate_copies
 
     def test_classic_fast_and_general_drain_loops_agree(self, small_world):
-        """run_multicast's fault-free fast path must equal the general
-        loop (forced here by passing an impossible failed host)."""
+        """run_multicast's fault-free compute-seam path must equal the
+        backup-recovery path of forward_session with nothing to recover
+        from (forced here by passing an impossible failed host)."""
         topology, group = small_world
         fast = run_multicast(group.server_table, group.tables, topology)
         general = run_multicast(
@@ -327,12 +328,9 @@ class TestComputeBackendEquivalence:
 
     @pytest.fixture(scope="class")
     def numpy_backend(self):
-        from repro.compute import ComputeUnavailable, create_backend
+        from repro.compute import create_backend
 
-        try:
-            return create_backend("numpy")
-        except ComputeUnavailable:
-            pytest.skip("fast extra not installed")
+        return create_backend("numpy")
 
     def test_session_bitwise_identical(self, small_world, numpy_backend):
         topology, group = small_world

@@ -2,7 +2,7 @@
 
 The large-N architecture rests on one claim: the streaming array path —
 on-demand RTT synthesis, bit-packed codes, per-shard rep-chain fan-out,
-array-backed membership — is *bitwise indistinguishable* from the dense
+packed-code membership — is *bitwise indistinguishable* from the dense
 object path at every size where both can run.  This lane enforces the
 claim three ways:
 
@@ -10,12 +10,10 @@ claim three ways:
   equal to the object world and the dense ``SessionResult`` digest over
   random ``(N, seed)``;
 * a hypothesis stateful machine drives join/leave churn through
-  :class:`~repro.keytree.cluster.ClusterRekeyingTree` and its array twin
-  :class:`~repro.keytree.array_store.ArrayClusterStore` in lockstep,
-  asserting byte-equal membership digests after every step and — after
-  every batch — byte-equal key-tree state and byte-equal
-  ``ReliableOutcome``s between the dense-matrix and synthesized-RTT
-  topologies;
+  :class:`~repro.keytree.cluster.ClusterRekeyingTree`, asserting — after
+  every batch — that the inner key tree holds exactly the leaders' paths
+  and that ``ReliableOutcome``s are byte-equal between the dense-matrix
+  and synthesized-RTT topologies;
 * the 100k streaming rung runs bounded (well under the lane's 60 s
   budget) with the :class:`~repro.verify.checkers.
   StreamingDeliveryChecker` active and no dense matrix materializable.
@@ -43,7 +41,7 @@ from repro.core.neighbor_table import (
     build_server_table,
 )
 from repro.core.tmesh import rekey_session
-from repro.keytree import ArrayClusterStore, ClusterRekeyingTree
+from repro.keytree import ClusterRekeyingTree
 from repro.net.planetlab import MatrixTopology
 from repro.net.synthetic import SyntheticRttTopology
 from repro.perf.scale import (
@@ -109,27 +107,23 @@ def test_streaming_digest_matches_dense_session_large(n, seed):
 
 
 # ----------------------------------------------------------------------
-# Sharded churn in lockstep (stateful)
+# Cluster churn (stateful)
 # ----------------------------------------------------------------------
 class ShardedChurnMachine(RuleBasedStateMachine):
-    """Joins, leaves, and batch rekeys through the sharded topology,
-    with the dense-path reference and the array twin in lockstep.
+    """Joins, leaves, and batch rekeys through the cluster tree.
 
-    After every step the two membership representations must render the
-    same canonical digest and the same leader map; after every batch the
-    inner key tree must hold exactly the leaders' paths, and a reliable
-    rekey multicast must produce pickle-equal ``ReliableOutcome``s under
-    the dense RTT matrix and the on-demand synthesized topology."""
+    After every step the tree must count exactly the present members;
+    after every batch the inner key tree must hold exactly the leaders'
+    paths, and a reliable rekey multicast must produce pickle-equal
+    ``ReliableOutcome``s under the dense RTT matrix and the on-demand
+    synthesized topology."""
 
     SCHEME = IdScheme(num_digits=3, base=4)
     NUM_HOSTS = 24  # member hosts 0..22, key server on 23
 
     def __init__(self):
         super().__init__()
-        self.tree = ClusterRekeyingTree(self.SCHEME, shard_depth=1)
-        self.store = ArrayClusterStore(
-            self.SCHEME, shard_depth=1, initial_capacity=2
-        )
+        self.tree = ClusterRekeyingTree(self.SCHEME)
         self.present: dict = {}  # uid -> host, insertion order
         self.free_hosts = list(range(self.NUM_HOSTS - 1))
         self.lazy = SyntheticRttTopology.seeded(self.NUM_HOSTS, seed=99)
@@ -149,17 +143,12 @@ class ShardedChurnMachine(RuleBasedStateMachine):
     def join(self, digits):
         uid = Id(digits)
         if uid in self.present:
-            # Double joins must be rejected identically.
             with pytest.raises(ValueError):
                 self.tree.request_join(uid)
-            with pytest.raises(ValueError):
-                self.store.request_join(uid)
             return
         if not self.free_hosts:
             return
-        rekeys_tree = self.tree.request_join(uid)
-        rekeys_store = self.store.request_join(uid)
-        assert rekeys_tree == rekeys_store
+        self.tree.request_join(uid)
         self.present[uid] = self.free_hosts.pop(0)
 
     @rule(index=st.integers(min_value=0, max_value=10**6))
@@ -167,9 +156,7 @@ class ShardedChurnMachine(RuleBasedStateMachine):
         if not self.present:
             return
         uid = list(self.present)[index % len(self.present)]
-        rekeys_tree = self.tree.request_leave(uid)
-        rekeys_store = self.store.request_leave(uid)
-        assert rekeys_tree == rekeys_store
+        self.tree.request_leave(uid)
         self.free_hosts.append(self.present.pop(uid))
 
     @rule(payload_count=st.integers(min_value=1, max_value=3))
@@ -177,7 +164,7 @@ class ShardedChurnMachine(RuleBasedStateMachine):
         self.tree.process_batch()
         # Key-tree state: the inner tree's u-nodes are exactly the
         # leaders, its k-nodes exactly the leaders' path prefixes.
-        leaders = {members[0] for members in self.tree.shards().values()}
+        leaders = {self.tree.leader_of(uid) for uid in self.present}
         assert self.tree.key_tree.user_ids == leaders
         expected_nodes = {
             leader.prefix(level)
@@ -222,32 +209,14 @@ class ShardedChurnMachine(RuleBasedStateMachine):
         assert outcomes[0] == outcomes[1]
 
     @invariant()
-    def membership_lockstep(self):
-        assert self.tree.state_digest() == self.store.state_digest()
-        tree_leaders = {
-            pack_id(prefix)[0]: pack_id(members[0])[0]
-            for prefix, members in self.tree.shards().items()
-        }
-        assert tree_leaders == self.store.leaders()
-        assert self.tree.num_users == self.store.num_users == len(self.present)
-        assert self.tree.num_clusters == self.store.num_clusters
+    def membership_counts(self):
+        assert self.tree.num_users == len(self.present)
+        assert self.tree.num_clusters == len(
+            {self.tree.cluster_of(uid) for uid in self.present}
+        )
 
 
 TestShardedChurn = ShardedChurnMachine.TestCase
-
-
-def test_array_store_rejects_unknown_and_duplicate_members():
-    scheme = IdScheme(num_digits=3, base=4)
-    store = ArrayClusterStore(scheme, shard_depth=1, initial_capacity=1)
-    uid = Id([1, 2, 3])
-    with pytest.raises(ValueError, match="not in any cluster"):
-        store.request_leave(uid)
-    assert store.request_join(uid) is True
-    with pytest.raises(ValueError, match="already in cluster"):
-        store.request_join(uid)
-    # Capacity growth from 1 is exercised by a second shard.
-    assert store.request_join(Id([2, 0, 0])) is True
-    assert store.num_users == 2 and store.num_clusters == 2
 
 
 def test_rejoin_within_interval_keeps_cluster_and_tree_consistent():
@@ -255,17 +224,15 @@ def test_rejoin_within_interval_keeps_cluster_and_tree_consistent():
     to crash the inner key tree on the leadership hand-off; now the
     pending leave is cancelled and the path still rotates."""
     scheme = IdScheme(num_digits=3, base=4)
-    tree = ClusterRekeyingTree(scheme, shard_depth=1)
-    store = ArrayClusterStore(scheme, shard_depth=1)
-    leader, follower = Id([0, 1, 2]), Id([0, 2, 1])
+    tree = ClusterRekeyingTree(scheme)
+    leader, follower = Id([0, 1, 2]), Id([0, 1, 3])
     for uid in (leader, follower):
-        assert tree.request_join(uid) == store.request_join(uid)
+        tree.request_join(uid)
     # The leader leaves (hand-off to follower), then rejoins, then the
     # follower leaves (hand-off straight back) — all in one interval.
-    assert tree.request_leave(leader) == store.request_leave(leader) is True
-    assert tree.request_join(leader) == store.request_join(leader) is False
-    assert tree.request_leave(follower) == store.request_leave(follower)
-    assert tree.state_digest() == store.state_digest()
+    assert tree.request_leave(leader) is True
+    assert tree.request_join(leader) is False
+    assert tree.request_leave(follower) is True
     tree.process_batch()
     assert tree.key_tree.user_ids == {leader}
 

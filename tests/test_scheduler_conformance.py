@@ -1,10 +1,10 @@
 """Cross-backend conformance for the scheduling seam.
 
 One parameterized suite run against all three :mod:`repro.net.scheduling`
-backends — the discrete event simulator adapter (``"simulator"``), the
-standalone virtual-clock event loop (``"eventloop"``), and the live
-service's asyncio scheduler (``"asyncio"``, deterministic drive mode) —
-asserting identical delivery order, cancel/reschedule semantics, and
+backends — the virtual-clock event loop (``"eventloop"``), the same loop
+behind the simulator's ``Network`` surface (``"simulator"``), and the
+live service's asyncio subclass of it (``"asyncio"``, deterministic
+drive mode) — asserting identical delivery order, cancel/reschedule semantics, and
 deterministic same-time tie-breaking.  The scripted scenarios reuse the
 fixed seeds of ``tools/check_invariants.py`` (base seed 7), so a
 divergence here points at the same repro key as the oracle suite.
@@ -312,11 +312,20 @@ class TestCrossBackendIdentity:
             create_backend("carrier-pigeon", tiny_topology())
 
     def test_backend_objects_are_assembled(self):
+        from repro.net.eventloop import EventLoop, TimerHandle
+        from repro.service.aio import AsyncioScheduler
+        from repro.sim.engine import Event, Simulator
+
+        # Three names, one heap drain: the simulator is the event loop
+        # under its historical name, the asyncio scheduler a subclass.
+        assert Simulator is EventLoop and Event is TimerHandle
+        assert issubclass(AsyncioScheduler, EventLoop)
         for name in BACKENDS:
             backend = create_backend(name, tiny_topology())
             assert isinstance(backend, SchedulingBackend)
             assert backend.name == name
             assert backend.transport.scheduler is backend.scheduler
+            assert isinstance(backend.scheduler, EventLoop)
 
     @pytest.mark.parametrize("seed", [ORACLE_SEED, ORACLE_SEED + 1])
     def test_identical_firing_order(self, seed):

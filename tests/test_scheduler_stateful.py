@@ -1,9 +1,10 @@
 """Stateful property test: both schedulers vs. a brute-force reference.
 
 A hypothesis :class:`RuleBasedStateMachine` drives three schedulers in
-lock-step — the discrete event :class:`~repro.sim.engine.Simulator`, the
-standalone :class:`~repro.net.eventloop.EventLoop`, and a deliberately
-naive reference model that keeps a flat list and fires the minimum
+lock-step — :class:`~repro.net.eventloop.EventLoop` (the one heap
+drain), its :class:`~repro.service.aio.AsyncioScheduler` subclass in
+the deterministic virtual-clock drive, and a deliberately naive
+reference model that keeps a flat list and fires the minimum
 ``(time, seq)`` non-cancelled entry by linear scan.  Every interleaving
 of schedule / cancel / step / run(until) / run() the machine explores
 must leave all three with the identical firing log and clock.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.net.eventloop import EventLoop
-from repro.sim.engine import Simulator
+from repro.service.aio import AsyncioScheduler
 
 pytestmark = pytest.mark.conformance
 
@@ -95,8 +96,8 @@ class SchedulerEquivalence(RuleBasedStateMachine):
         super().__init__()
         self.scheds = {
             "reference": ReferenceScheduler(),
-            "simulator": Simulator(),
             "eventloop": EventLoop(),
+            "asyncio": AsyncioScheduler(),
         }
         self.logs = {name: [] for name in self.scheds}
         self.handles = {name: [] for name in self.scheds}
@@ -166,7 +167,7 @@ class SchedulerEquivalence(RuleBasedStateMachine):
     @invariant()
     def same_history_and_clock(self):
         reference = self.scheds["reference"]
-        for name in ("simulator", "eventloop"):
+        for name in ("eventloop", "asyncio"):
             assert self.logs[name] == self.logs["reference"], name
             assert self.scheds[name].now == reference.now, name
             assert self.scheds[name].pending == reference.pending, name

@@ -12,7 +12,12 @@ from repro.core.neighbor_table import (
     build_consistent_tables,
     build_server_table,
 )
-from repro.core.tmesh import data_session, rekey_session, run_multicast
+from repro.core.tmesh import (
+    data_session,
+    plan_session,
+    rekey_session,
+    run_multicast,
+)
 from repro.net.planetlab import MatrixTopology
 
 FIG1_SCHEME = IdScheme(num_digits=2, base=3)
@@ -290,3 +295,26 @@ class TestFailureResilience:
         )
         assert len(set(session.receipts) & live) >= len(set(plain.receipts) & live)
         assert session.duplicate_copies == {}
+
+
+@pytest.mark.parametrize("compute", ["reference", "numpy"])
+def test_plan_survives_a_leave(compute):
+    """A plan made before a leave must not forward to the leaver: a
+    departed member reads nothing sent after it left."""
+    from repro.experiments.common import build_group, build_topology
+
+    topology = build_topology("gtitm", 64, seed=20)
+    group = build_group(topology, 64, seed=20)
+    plan = plan_session(group.server_table, group.tables)
+    first = rekey_session(
+        group.server_table, group.tables, topology, plan=plan, compute=compute
+    )
+    victim = next(iter(first.receipts))
+    group.leave(victim)
+    planned = rekey_session(
+        group.server_table, group.tables, topology, plan=plan, compute=compute
+    )
+    assert planned == rekey_session(
+        group.server_table, group.tables, topology, compute=compute
+    )
+    assert victim not in planned.receipts

@@ -218,22 +218,16 @@ def scenario_compute_backends(seed: int, users: int) -> str:
     full verification (each run is checked against the brute-force
     differential oracle), then diff the backends against each other: the
     bitwise-equivalence contract of :mod:`repro.compute`
-    (docs/PERFORMANCE.md).  Runs reference-only when numpy is absent."""
+    (docs/PERFORMANCE.md)."""
     import pickle
 
-    from repro.compute import ComputeUnavailable, create_backend
     from repro.experiments.common import build_group, build_topology
     from repro.verify.report import ViolationReport
 
     size = min(users, 256)
     topology = build_topology("gtitm", size, seed=seed)
     group = build_group(topology, size, seed=seed)
-    backends = ["reference"]
-    try:
-        create_backend("numpy")
-        backends.append("numpy")
-    except ComputeUnavailable:
-        pass
+    backends = ["reference", "numpy"]
 
     states = {}
     summaries = []
@@ -246,7 +240,7 @@ def scenario_compute_backends(seed: int, users: int) -> str:
                 (session.receipts, session.edges, session.duplicate_copies)
             )
             summaries.append(f"{name}: {ctx.summary()}")
-    if len(backends) == 2 and states["reference"] != states["numpy"]:
+    if states["reference"] != states["numpy"]:
         raise InvariantViolation(
             [
                 ViolationReport(
@@ -260,10 +254,7 @@ def scenario_compute_backends(seed: int, users: int) -> str:
                 )
             ]
         )
-    return "; ".join(summaries) + (
-        "; backends bitwise-equal" if len(backends) == 2
-        else "; numpy unavailable (reference only)"
-    )
+    return "; ".join(summaries) + "; backends bitwise-equal"
 
 
 def scenario_sharded_scale(seed: int, users: int) -> str:
