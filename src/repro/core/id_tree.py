@@ -140,6 +140,16 @@ class IdTree:
         """
         return self.users_in_subtree(self.ij_subtree_root(user_id, i, j))
 
+    def users_diverging_at(self, user_id: Id, i: int) -> Set[Id]:
+        """Users whose IDs share exactly the first ``i`` digits with
+        ``user_id`` — the union of its ``(i, j)``-ID subtrees over ``j``.
+        Each of them files ``user_id`` under row ``i`` of its neighbor
+        table, and ``user_id`` files each of them under its own row ``i``."""
+        empty: Set[Id] = set()
+        return self._members.get(user_id.prefix(i), empty) - self._members.get(
+            user_id.prefix(i + 1), empty
+        )
+
     def bottom_clusters(self) -> Dict[Id, Set[Id]]:
         """Level-``(D-1)`` ID subtrees mapped to their member user IDs —
         the *bottom clusters* of the Appendix-B heuristic."""

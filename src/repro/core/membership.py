@@ -32,6 +32,10 @@ from .neighbor_table import NeighborTable, UserRecord, build_server_table
 #: The paper's table redundancy parameter (Section 4).
 PAPER_K = 4
 
+#: Refill candidates of one leave / repair sweep: ID-subtree root ->
+#: (records of the subtree's users, their hosts).
+_Candidates = Dict[Id, Tuple[List[UserRecord], np.ndarray]]
+
 
 @dataclass
 class JoinResult:
@@ -67,7 +71,6 @@ class Group:
             scheme, server_host, (), self._rtt, k
         )
         self._clock = 0.0
-        self._host_of_user: Dict[Id, int] = {}
 
     # ------------------------------------------------------------------
     def _rtt(self, a: int, b: int) -> float:
@@ -134,31 +137,38 @@ class Group:
 
     def _admit(self, record: UserRecord) -> None:
         user_id = record.user_id
+        digits = user_id.digits
+        others = list(self.records.values())
         self.id_tree.add_user(user_id)
         self.records[user_id] = record
-        self._host_of_user[user_id] = record.host
-        # Build the new user's table from the current population (the
-        # consistent state the Silk join converges to).  Both RTT sweeps
-        # are batched against the topology's dense matrix when available;
-        # operand orientation matches the scalar calls they replace.
-        table = NeighborTable(self.scheme, record, self.k)
-        others = [o for o in self.records.values() if o.user_id != user_id]
-        if others:
-            out_rtts = self.topology.rtt_many(
-                record.host, [o.host for o in others]
-            )
-            table.fill(zip(others, map(float, out_rtts)))
-        self.tables[user_id] = table
-        # Everyone else (and the server) learns about the new user.
-        other_tables = [
-            t for oid, t in self.tables.items() if oid != user_id
-        ]
-        if other_tables:
-            in_rtts = self.topology.rtt_to_many(
-                record.host, [t.owner.host for t in other_tables]
-            )
-            for other_table, r in zip(other_tables, in_rtts):
-                other_table.insert(record, float(r))
+        # The new user's table is built from the current population, and
+        # everyone else learns about the new user (the consistent state
+        # the Silk join converges to).  A user sharing exactly i digits
+        # with the newcomer files it under (i, newcomer[i]) and is filed
+        # under (i, its own digit i), so the ID tree's prefix groups give
+        # every slot without comparing digits table by table.  Both RTT
+        # sweeps are batched against the topology's dense matrix when
+        # available; operand orientation matches scalar rtt() calls.
+        table = self.tables[user_id] = NeighborTable(self.scheme, record, self.k)
+        row_of = {
+            other_id: i
+            for i in range(len(digits))
+            for other_id in self.id_tree.users_diverging_at(user_id, i)
+        }
+        hosts = [other.host for other in others]
+        out_rtts = self.topology.rtt_many(record.host, hosts).tolist()
+        in_rtts = self.topology.rtt_to_many(record.host, hosts).tolist()
+        # Offers stay in self.records order inside an entry (RTT ties keep
+        # offer order) and entries are created in first-offer order
+        # (all_records(), hence query(), reads them in that order).
+        own: Dict[Tuple[int, int], List[Tuple[UserRecord, float]]] = {}
+        for other, out_rtt, in_rtt in zip(others, out_rtts, in_rtts):
+            other_id = other.user_id
+            i = row_of[other_id]
+            own.setdefault((i, other_id.digits[i]), []).append((other, out_rtt))
+            self.tables[other_id].insert(record, in_rtt, (i, digits[i]))
+        for slot, pairs in own.items():
+            table.fill(slot, pairs)
         self.server_table.insert(record, self._rtt(self.server_host, record.host))
 
     # ------------------------------------------------------------------
@@ -168,7 +178,17 @@ class Group:
         """Graceful leave: the user has its record deleted from all tables
         (Silk leave protocol), with entries re-filled to stay
         K-consistent."""
-        self._remove(user_id, repair=True)
+        if user_id not in self.records:
+            raise KeyError(f"user {user_id} not in group")
+        departed = self.records.pop(user_id)
+        self.id_tree.remove_user(user_id)
+        self.tables.pop(user_id)
+        candidates: _Candidates = {}
+        for table in self.tables.values():
+            if table.remove(user_id):
+                self._refill(table, departed, candidates)
+        if self.server_table.remove(user_id):
+            self._refill(self.server_table, departed, candidates)
 
     def fail(self, user_id: Id) -> None:
         """Silent failure: the user vanishes but stale records remain in
@@ -180,46 +200,51 @@ class Group:
         self.id_tree.remove_user(user_id)
         self.tables.pop(user_id)
 
-    def _remove(self, user_id: Id, repair: bool) -> None:
-        if user_id not in self.records:
-            raise KeyError(f"user {user_id} not in group")
-        departed = self.records.pop(user_id)
-        self.id_tree.remove_user(user_id)
-        self.tables.pop(user_id)
-        for table in self.tables.values():
-            if table.remove(user_id) and repair:
-                self._refill(table, departed)
-        if self.server_table.remove(user_id) and repair:
-            self._refill(self.server_table, departed)
-
-    def _refill(self, table: NeighborTable, departed: UserRecord) -> None:
+    def _refill(
+        self, table: NeighborTable, departed: UserRecord, candidates: _Candidates
+    ) -> None:
         """Re-fill the entry a departed user occupied with the closest
-        remaining users of that ID subtree."""
+        remaining users of that ID subtree, offered in the iteration
+        order of :meth:`IdTree.users_in_subtree` (RTT ties keep it).
+
+        ``candidates`` memoises each subtree's records and hosts while
+        membership stands still — one :meth:`leave` or one
+        :meth:`repair_tables` sweep — and must not outlive it."""
         slot = table.slot_for(departed)
-        if slot is None:
+        # The owner shares slot[0] digits with the departed, so the
+        # entry's subtree root is a prefix of the departed ID.
+        subtree_root = departed.user_id.prefix(slot[0] + 1)
+        found = candidates.get(subtree_root)
+        if found is None:
+            records = [
+                self.records[candidate_id]
+                for candidate_id in self.id_tree.users_in_subtree(subtree_root)
+            ]
+            hosts = np.array([r.host for r in records], dtype=np.intp)
+            found = candidates[subtree_root] = (records, hosts)
+        records, hosts = found
+        if not records:
             return
-        i, j = slot
-        if table.is_server_table:
-            subtree_root = Id((j,))
-        else:
-            subtree_root = table.owner.user_id.prefix(i).extend(j)
-        present = {r.user_id for r in table.entry(i, j)}
-        for candidate_id in self.id_tree.users_in_subtree(subtree_root):
-            if candidate_id not in present and candidate_id != table.owner.user_id:
-                record = self.records[candidate_id]
-                table.insert(record, self._rtt(table.owner.host, record.host))
+        # Whatever precedes a candidate in (RTT, offer order) also precedes
+        # it in the entry, so only the K closest can get in.
+        rtts = self.topology.rtt_many(table.owner.host, hosts)
+        closest = np.argsort(rtts, kind="stable")[: self.k]
+        table.fill(
+            slot,
+            zip([records[c] for c in closest.tolist()], rtts[closest].tolist()),
+        )
 
     def repair_tables(self) -> int:
         """Failure recovery sweep: drop records of vanished users from all
         tables and re-fill the holes.  Returns the number of stale records
         removed."""
         removed = 0
-        alive = set(self.records)
-        for table in list(self.tables.values()) + [self.server_table]:
+        candidates: _Candidates = {}
+        for table in [*self.tables.values(), self.server_table]:
             for record in list(table.all_records()):
-                if record.user_id not in alive:
+                if record.user_id not in self.records:
                     table.remove(record.user_id)
-                    self._refill(table, record)
+                    self._refill(table, record, candidates)
                     removed += 1
         return removed
 

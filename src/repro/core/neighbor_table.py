@@ -18,7 +18,7 @@ multicast delivery relies on; ``K > 1`` buys failure resilience.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -93,13 +93,13 @@ class NeighborTable:
         self.k = k
         self._entries: Dict[Tuple[int, int], _Entry] = {}
         # Flat snapshot of all records, rebuilt lazily after mutations so
-        # query()/contains() sweeps do not re-walk the entry dict each time.
+        # query() sweeps do not re-walk the entry dict each time.
         self._records_cache: Optional[List[UserRecord]] = None
         # Per-row primaries, rebuilt lazily after mutations: FORWARD asks
         # for the same rows once per session, and tables don't change
         # mid-session.
         self._primaries_cache: Dict[int, List[Tuple[int, UserRecord]]] = {}
-        # Hot-path constants for slot_for (called once per insert).
+        # Hot-path constants for slot_of.
         self._server_flag = owner.user_id.is_null
         self._own_digits = owner.user_id.digits
         self._depth = scheme.num_digits
@@ -162,7 +162,13 @@ class NeighborTable:
         ``i`` is the length of the longest common prefix of the owner's and
         ``w``'s IDs — exactly the condition of Definition 3.
         """
-        rd = record.user_id.digits
+        return self.slot_of(record.user_id)
+
+    def slot_of(self, user_id: Id) -> Optional[Tuple[int, int]]:
+        """:meth:`slot_for` by ID alone.  Every mutator files a record
+        under this slot and no other, so :meth:`remove` and
+        :meth:`contains` probe it alone."""
+        rd = user_id.digits
         if self._server_flag:
             return (0, rd[0])
         i = 0
@@ -175,7 +181,8 @@ class NeighborTable:
         return (i, rd[i])
 
     def contains(self, user_id: Id) -> bool:
-        return any(user_id in e.ids for e in self._entries.values())
+        e = self._entries.get(self.slot_of(user_id))
+        return e is not None and user_id in e.ids
 
     def all_records(self) -> Iterator[UserRecord]:
         cache = self._records_cache
@@ -194,104 +201,95 @@ class NeighborTable:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, record: UserRecord, rtt: float) -> bool:
+    def _invalidate(self) -> None:
+        self._records_cache = None
+        self._primaries_cache.clear()
+        NeighborTable._mutation_epoch += 1
+
+    def insert(
+        self,
+        record: UserRecord,
+        rtt: float,
+        slot: Optional[Tuple[int, int]] = None,
+    ) -> bool:
         """Offer a record to the table; it is kept iff its entry has room
         or the record beats the entry's worst RTT.  Returns True iff the
-        table changed."""
-        slot = self.slot_for(record)
+        table changed — a duplicate or rejected offer touches nothing,
+        caches and ``_mutation_epoch`` included.
+
+        At equal RTT an existing neighbor beats the offer and an earlier
+        offer beats a later one.  ``slot`` is the caller's already-known
+        ``slot_for(record)``; it is trusted, not checked.
+        """
         if slot is None:
-            return False
+            slot = self.slot_of(record.user_id)
+            if slot is None:
+                return False
         e = self._entries.get(slot)
         if e is None:
             e = self._entries[slot] = _Entry()
-        elif record.user_id in e.ids:
-            return False
-        e.neighbors.append((rtt, record))
-        e.neighbors.sort(key=_RTT_KEY)
+        else:
+            if record.user_id in e.ids:
+                return False
+            neighbors = e.neighbors
+            if len(neighbors) >= self.k:
+                if rtt >= neighbors[-1][0]:
+                    return False
+                e.ids.discard(neighbors.pop()[1].user_id)
+        insort_right(e.neighbors, (rtt, record), key=_RTT_KEY)
         e.ids.add(record.user_id)
-        self._records_cache = None
-        self._primaries_cache.clear()
-        NeighborTable._mutation_epoch += 1
-        if len(e.neighbors) > self.k:
-            dropped = e.neighbors.pop()
-            e.ids.discard(dropped[1].user_id)
-            return dropped[1].user_id != record.user_id
+        self._invalidate()
         return True
 
-    def fill(self, pairs: Iterable[Tuple[UserRecord, float]]) -> None:
-        """Batch form of :meth:`insert` for table construction: offer many
-        ``(record, rtt)`` pairs at once.
+    def fill(
+        self, slot: Tuple[int, int], pairs: Iterable[Tuple[UserRecord, float]]
+    ) -> None:
+        """Batch form of :meth:`insert` for one entry: offer many
+        ``(record, rtt)`` pairs that all belong to ``slot`` (trusted, as
+        in :meth:`insert`) — a new table's entry at construction, or the
+        candidates for an entry a departure vacated.
 
-        Each entry is sorted once and truncated to ``K``, instead of
-        re-sorting per insert.  Because the sort is stable and ties keep
-        offer order, the surviving neighbors and their order are exactly
-        what the equivalent sequence of :meth:`insert` calls would leave —
-        provided each user ID appears at most once in ``pairs`` (as in
-        table construction, where every known user is offered exactly
-        once; sequential inserts can re-admit an ID whose earlier record
-        was already evicted, which a single batched pass cannot see).
+        The entry is sorted once and truncated to ``K``, instead of once
+        per offer.  Because the sort is stable and ties keep offer order
+        behind the neighbors already there, the survivors and their order
+        are exactly what the equivalent sequence of :meth:`insert` calls
+        would leave — provided each user ID appears at most once in
+        ``pairs`` (sequential inserts can re-admit an ID whose earlier
+        record was already evicted, which a single batched pass cannot
+        see).  IDs already in the entry are skipped; with nothing left to
+        offer the table is not touched.
         """
-        entries = self._entries
-        slot_for = self.slot_for
-        for record, rtt in pairs:
-            slot = slot_for(record)
-            if slot is None:
-                continue
-            e = entries.get(slot)
-            if e is None:
-                e = entries[slot] = _Entry()
-            elif record.user_id in e.ids:
-                continue
-            e.neighbors.append((rtt, record))
-            e.ids.add(record.user_id)
-        k = self.k
-        for e in entries.values():
-            neighbors = e.neighbors
-            if len(neighbors) > 1:
-                neighbors.sort(key=_RTT_KEY)
-            if len(neighbors) > k:
-                for _, dropped in neighbors[k:]:
-                    e.ids.discard(dropped.user_id)
-                del neighbors[k:]
-        self._records_cache = None
-        self._primaries_cache.clear()
-        NeighborTable._mutation_epoch += 1
+        e = self._entries.get(slot)
+        present = e.ids if e is not None else ()
+        offers = [
+            (rtt, record) for record, rtt in pairs if record.user_id not in present
+        ]
+        if not offers:
+            return
+        if e is None:
+            e = self._entries[slot] = _Entry()
+        neighbors = e.neighbors
+        neighbors.extend(offers)
+        neighbors.sort(key=_RTT_KEY)
+        del neighbors[self.k :]
+        e.ids = {record.user_id for _, record in neighbors}
+        self._invalidate()
 
     def remove(self, user_id: Id) -> bool:
-        """Delete a user's record wherever it appears (leave / failure).
-        Returns True iff something was removed."""
-        removed = False
-        for slot, e in list(self._entries.items()):
-            if user_id not in e.ids:
-                continue
-            kept = [(rtt, r) for rtt, r in e.neighbors if r.user_id != user_id]
-            removed = True
-            if kept:
-                e.neighbors = kept
-                e.ids.discard(user_id)
-            else:
-                del self._entries[slot]
-        if removed:
-            self._records_cache = None
-            self._primaries_cache.clear()
-            NeighborTable._mutation_epoch += 1
-        return removed
-
-    def underfilled_slots(self, subtree_sizes: Callable[[int, int], int]) -> List[Tuple[int, int]]:
-        """Entries holding fewer than ``min(K, m)`` neighbors, given a
-        callable returning the population ``m`` of each (i,j)-ID subtree.
-        Used by the leave/failure repair path to know what to re-fill."""
-        slots: List[Tuple[int, int]] = []
-        own = self.owner.user_id
-        for i in range(self.num_rows):
-            for j in range(self.scheme.base):
-                if not self.is_server_table and j == own[i]:
-                    continue
-                m = subtree_sizes(i, j)
-                have = len(self._entries.get((i, j), _Entry()).neighbors)
-                if have < min(self.k, m):
-                    slots.append((i, j))
-        return slots
+        """Delete a user's record (leave / failure); an entry left empty
+        is dropped.  Returns True iff something was removed."""
+        slot = self.slot_of(user_id)
+        e = self._entries.get(slot)
+        if e is None or user_id not in e.ids:
+            return False
+        kept = [(rtt, r) for rtt, r in e.neighbors if r.user_id != user_id]
+        if kept:
+            e.neighbors = kept
+            e.ids.discard(user_id)
+        else:
+            del self._entries[slot]
+        self._invalidate()
+        return True
 
 
 class StaticPrimaryTable:

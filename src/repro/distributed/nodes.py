@@ -833,14 +833,14 @@ class UserNode(TransportNode):
         self._miss_counts.pop(record.user_id, None)
         self._unreachable.add(record.host)
         self._departed.add(record.user_id)
-        slot = self.table.slot_for(record)
         if self.table.remove(record.user_id):
             self.stats.failures_detected += 1
             self.send(
                 self.server_host,
                 m.FailureNotice(record.user_id, self.user_id),
             )
-            if slot is not None and not self.table.entry(*slot):
+            slot = self.table.slot_for(record)
+            if not self.table.entry(*slot):
                 self._refill(*slot)
 
     # ------------------------------------------------------------------
@@ -975,15 +975,8 @@ class UserNode(TransportNode):
         # entries — refill queries must target surviving neighbors only.
         emptied: List[Tuple[int, int]] = []
         for user_id in update.leaves:
-            record = next(
-                (r for r in self.table.all_records() if r.user_id == user_id),
-                None,
-            )
-            if record is None:
-                continue
-            slot = self.table.slot_for(record)
-            if self.table.remove(user_id) and slot is not None:
-                emptied.append(slot)
+            if self.table.remove(user_id):
+                emptied.append(self.table.slot_of(user_id))
         # The leavers' own neighbor records repair most vacated entries
         # immediately; refill queries cover anything still empty.
         for record in update.replacements:

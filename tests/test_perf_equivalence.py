@@ -399,9 +399,13 @@ def test_fill_matches_sequential_inserts(seed):
     for record, rtt in offers:
         sequential.insert(record, rtt)
     batched = NeighborTable(scheme, owner, k=2)
-    batched.fill(offers)
+    by_slot = {}
+    for record, rtt in offers:
+        by_slot.setdefault(batched.slot_for(record), []).append((record, rtt))
+    for slot, pairs in by_slot.items():
+        batched.fill(slot, pairs)
 
-    assert batched._entries.keys() == sequential._entries.keys()
+    assert list(batched._entries) == list(sequential._entries)
     for slot, entry in sequential._entries.items():
         assert batched._entries[slot].neighbors == entry.neighbors
         assert batched._entries[slot].ids == entry.ids
