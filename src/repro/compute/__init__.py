@@ -1,28 +1,29 @@
 """The compute seam: pluggable kernels for the protocol's batch arithmetic.
 
-The three hottest pure-arithmetic paths of the reproduction — the
-FORWARD fan-out of Fig. 2 (:mod:`repro.core.tmesh`), the Theorem-2
-rekey-split prefix predicate of Fig. 5 (:mod:`repro.core.splitting`),
-and key-tree batch-rekey node marking (:mod:`repro.keytree.
-modified_tree`) — are integer/prefix algebra executed once per receipt,
-per encryption, or per changed u-node.  This package names those
-operations as a backend interface so the protocol modules depend on the
-*seam*, never on how the arithmetic is executed (the same inversion
-:mod:`repro.net.scheduling` applied to event scheduling in PR 6).
+Two pure-arithmetic paths of the reproduction — the FORWARD fan-out of
+Fig. 2 (:mod:`repro.core.tmesh`) and key-tree batch-rekey node marking
+(:mod:`repro.keytree.modified_tree`) — are integer/prefix algebra
+executed once per receipt or per changed u-node.  This package names
+those operations as a backend interface so the protocol modules depend
+on the *seam*, never on how the arithmetic is executed (the same
+inversion :mod:`repro.net.scheduling` applied to event scheduling in
+PR 6).  (The Theorem-2 rekey split was a third such operation until it
+became an index lookup in :mod:`repro.core.splitting`, which left its
+vectorized twin slower than the one Python path at every size that
+matters; docs/PERFORMANCE.md has the numbers.)
 
 Two backends ship:
 
 * ``"reference"`` — the pure-Python loops
   (:mod:`repro.compute.reference`): FORWARD is
-  :func:`repro.core.tmesh.forward_session`, the split and marking loops
-  were extracted verbatim from the hot paths they used to live in.
+  :func:`repro.core.tmesh.forward_session`, the marking loop was
+  extracted verbatim from the hot path it used to live in.
   This is the semantic definition.
 * ``"numpy"`` — batch-vectorized kernels (:mod:`repro.compute.
   numpy_backend`): bit-packed ID/prefix arrays (uint64 codes + length
-  columns), whole-receipt-set FORWARD fan-out, batched split masks, and
-  array-based rekey node marking.  Delegates to ``"reference"`` when a
-  session violates the Theorem-1 preconditions the batch formulation
-  relies on.
+  columns), whole-receipt-set FORWARD fan-out, and array-based rekey
+  node marking.  Delegates to ``"reference"`` when a session violates
+  the Theorem-1 preconditions the batch formulation relies on.
 
 Equivalence discipline: both backends must produce **bitwise identical**
 results — same receipts in the same order, same edge lists, same
@@ -75,12 +76,6 @@ class ComputeBackend:
                        processing_delay=0.0, failed_hosts=None):
         """One fault-free multicast session over 1-consistent tables:
         the fast path of :func:`repro.core.tmesh.run_multicast`."""
-        raise NotImplementedError
-
-    # Rekey-message splitting (Fig. 5 / Theorem 2) ---------------------
-    def split_rekey(self, session, message, track_sets=False):
-        """Splitting applied along a finished session: the body of
-        :func:`repro.core.splitting.run_split_rekey`."""
         raise NotImplementedError
 
     # Key-tree batch rekeying (Section 2.4) ----------------------------

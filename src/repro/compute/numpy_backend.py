@@ -25,14 +25,12 @@ split:
   materializes its Receipt/edge objects on first access, so
   array-consuming pipelines never pay for objects they don't read.
 
-Splitting (Theorem 2) and key-tree marking vectorize over bit-packed
-uint64 ID columns (:mod:`repro.compute.packing`): the prefix predicate
-becomes one masked-XOR matrix, and holdings propagate down the delivery
-tree as boolean rows.
+Key-tree marking vectorizes over bit-packed uint64 ID columns
+(:mod:`repro.compute.packing`).
 
 Whenever an input falls outside a kernel's preconditions — failed
 hosts, a session whose fan-out targets a member twice (tables violating
-1-consistency), unpackable ID schemes, causality ties — the backend
+1-consistency), unpackable ID schemes — the backend
 delegates to :class:`~repro.compute.reference.ReferenceBackend`, whose
 output is the contract.
 """
@@ -48,7 +46,6 @@ import numpy as np
 
 from ..core.ids import Id
 from ..core.neighbor_table import NeighborTable
-from ..core.splitting import SplitSessionResult
 from ..core.tmesh import OverlayEdge, Receipt, SessionResult
 from . import ComputeBackend, register_backend
 from .packing import MASKS, pack_ids
@@ -377,121 +374,6 @@ def _materialize_session(c, arr, recv, order, e_delay, processing_delay):
 
 
 # ----------------------------------------------------------------------
-# Splitting structure (per session)
-# ----------------------------------------------------------------------
-class _SplitPrep:
-    """Causally ordered, slot-indexed view of a finished session for the
-    batch Theorem-2 kernel.  Slot 0 is the sender; members follow in
-    receipts order."""
-
-    __slots__ = (
-        "edges_len",
-        "edges_sorted",
-        "e_src_slot",
-        "hp_codes",
-        "hp_lens",
-        "tree_pos",
-        "tree_dst_slot",
-        "depth_src",
-        "depth_dst",
-        "depth_edge",
-        "member_ids",
-        "n_slots",
-    )
-
-
-def _split_prep(session: SessionResult) -> Optional[_SplitPrep]:
-    """Build (or reuse) the splitting view; ``None`` when the session
-    falls outside the kernel's preconditions (unpackable IDs, members
-    without exactly one tree in-edge, or out-edges causally preceding
-    the in-edge under sort ties)."""
-    prep = session._split_prep
-    edges = session.edges
-    if prep is not None and prep.edges_len == len(edges):
-        return prep
-    receipts = session.receipts
-    slot: Dict[Id, int] = {session.sender: 0}
-    member_ids = list(receipts)
-    for k, mid in enumerate(member_ids):
-        slot[mid] = k + 1
-    n_slots = len(member_ids) + 1
-
-    order = sorted(range(len(edges)), key=lambda i: (edges[i].send_time, edges[i].arrival_time))
-    edges_sorted = [edges[i] for i in order]
-    packed = pack_ids([e.dst for e in edges_sorted])
-    if packed is None:
-        return None
-    dst_codes, dst_lens = packed
-    hp_lens = np.minimum(
-        np.array([e.send_level + 1 for e in edges_sorted], dtype=np.int64),
-        dst_lens,
-    )
-    hp_codes = dst_codes & MASKS[hp_lens]
-
-    e_src_slot = np.empty(len(edges_sorted), dtype=np.intp)
-    in_edge: Dict[int, int] = {}  # member slot -> causal tree-edge index
-    first_out: Dict[int, int] = {}
-    tree_pos: List[int] = []
-    tree_dst_slot: List[int] = []
-    for pos, edge in enumerate(edges_sorted):
-        s = slot.get(edge.src)
-        if s is None:
-            return None  # a forwarder that never received a copy
-        e_src_slot[pos] = s
-        first_out.setdefault(s, pos)
-        receipt = receipts.get(edge.dst)
-        if receipt is not None and receipt.upstream == edge.src:
-            d = slot[edge.dst]
-            if d in in_edge:
-                return None  # holdings assigned twice: timing-dependent
-            in_edge[d] = pos
-            tree_pos.append(pos)
-            tree_dst_slot.append(d)
-    for mid in member_ids:
-        d = slot[mid]
-        if d not in in_edge:
-            return None  # a member with no delivering edge
-        if d in first_out and first_out[d] < in_edge[d]:
-            return None  # out-edges processed before holdings arrive
-
-    # Tree depth per member: parents always precede children here
-    # because a parent's in-edge is causally before its out-edges.
-    depth = {0: 0}
-    buckets: Dict[int, List[int]] = {}
-    for pos, d in zip(tree_pos, tree_dst_slot):
-        parent = int(e_src_slot[pos])
-        dd = depth[parent] + 1
-        depth[d] = dd
-        buckets.setdefault(dd, []).append(pos)
-    prep = _SplitPrep()
-    prep.edges_len = len(edges)
-    prep.edges_sorted = edges_sorted
-    prep.e_src_slot = e_src_slot
-    prep.hp_codes = hp_codes
-    prep.hp_lens = hp_lens
-    prep.tree_pos = tree_pos
-    prep.tree_dst_slot = tree_dst_slot
-    prep.member_ids = member_ids
-    prep.n_slots = n_slots
-    prep.depth_src = []
-    prep.depth_dst = []
-    prep.depth_edge = []
-    for dd in sorted(buckets):
-        pos_list = buckets[dd]
-        prep.depth_edge.append(np.array(pos_list, dtype=np.intp))
-        prep.depth_src.append(
-            np.array([int(e_src_slot[p]) for p in pos_list], dtype=np.intp)
-        )
-        prep.depth_dst.append(
-            np.array(
-                [slot[edges_sorted[p].dst] for p in pos_list], dtype=np.intp
-            )
-        )
-    session._split_prep = prep
-    return prep
-
-
-# ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
 class NumpyBackend(ComputeBackend):
@@ -531,60 +413,6 @@ class NumpyBackend(ComputeBackend):
                 c, arr, recv, order, e_delay, processing_delay
             ),
         )
-
-    # -- Rekey-message splitting ---------------------------------------
-    def split_rekey(
-        self, session: SessionResult, message, track_sets: bool = False
-    ) -> SplitSessionResult:
-        prep = _split_prep(session)
-        if prep is None:
-            return self._reference.split_rekey(session, message, track_sets)
-        enc = message.encryptions
-        packed = pack_ids([e.id for e in enc])
-        if packed is None:
-            return self._reference.split_rekey(session, message, track_sets)
-        enc_codes, enc_lens = packed
-
-        # need[e, k]: encryption k passes the Theorem-2 predicate at hop e.
-        min_len = np.minimum(prep.hp_lens[:, None], enc_lens[None, :])
-        need = (
-            (prep.hp_codes[:, None] ^ enc_codes[None, :]) & MASKS[min_len]
-        ) == 0
-        # Holdings as boolean rows, propagated down the delivery tree.
-        hold = np.zeros((prep.n_slots, len(enc)), dtype=bool)
-        hold[0] = True
-        for src_s, dst_s, edge_i in zip(
-            prep.depth_src, prep.depth_dst, prep.depth_edge
-        ):
-            hold[dst_s] = hold[src_s] & need[edge_i]
-        carried = hold[prep.e_src_slot] & need
-        loads = np.count_nonzero(carried, axis=1).tolist()
-
-        result = SplitSessionResult()
-        forwarded_by_slot = np.zeros(prep.n_slots, dtype=np.int64)
-        np.add.at(
-            forwarded_by_slot,
-            prep.e_src_slot,
-            np.asarray(loads, dtype=np.int64),
-        )
-        fwd_l = forwarded_by_slot.tolist()
-        result.forwarded[session.sender] = fwd_l[0]
-        member_ids = prep.member_ids
-        for k, mid in enumerate(member_ids):
-            result.forwarded[mid] = fwd_l[k + 1]
-        edges_sorted = prep.edges_sorted
-        result.edge_loads = [
-            (edges_sorted[i], loads[i]) for i in range(len(edges_sorted))
-        ]
-        for pos, d in zip(prep.tree_pos, prep.tree_dst_slot):
-            result.received[member_ids[d - 1]] = loads[pos]
-        if track_sets:
-            for pos, d in zip(prep.tree_pos, prep.tree_dst_slot):
-                row = carried[pos]
-                result.received_sets[member_ids[d - 1]] = {
-                    enc[k] for k in np.flatnonzero(row).tolist()
-                }
-        return result
 
     # -- Key-tree batch marking ----------------------------------------
     def mark_updated(

@@ -38,6 +38,13 @@ class GroupMember:
         self.user_id = user_id
         self.host = host
         self.keystore = keystore
+        #: IDs of the keys this member is entitled to: its ID-tree path,
+        #: individual key first, group key last (what
+        #: ``ModifiedKeyTree.path_key_ids`` lists, kept for the audit
+        #: after every interval).
+        self.path_key_ids: Tuple[Id, ...] = tuple(
+            user_id.prefix(level) for level in range(len(user_id), -1, -1)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -125,7 +132,6 @@ class SecureGroup:
         )
         self.key_tree = ModifiedKeyTree(scheme, crypto=True, rng=rng)
         self.members: Dict[Id, GroupMember] = {}
-        self._departed: List[GroupMember] = []
 
     # ------------------------------------------------------------------
     @property
@@ -151,9 +157,7 @@ class SecureGroup:
         rekey interval (batch rekeying)."""
         self.membership.leave(user_id)
         self.key_tree.request_leave(user_id)
-        member = self.members.pop(user_id)
-        self._departed.append(member)
-        return member
+        return self.members.pop(user_id)
 
     # ------------------------------------------------------------------
     def end_interval(
@@ -184,16 +188,13 @@ class SecureGroup:
             session = rekey_session(
                 self.membership.server_table, self.membership.tables, self.topology
             )
-            split = run_split_rekey(session, message, track_sets=True)
+            # Each member's share, already in (depth, digits) order: the
+            # order the key tree emits the message in.
+            shares = run_split_rekey(session, message).shares
             packetizer = fec if fec is not None else FecEncoder(packet_size=4)
             decoder = FecDecoder()
             for user_id, member in self.members.items():
-                share = tuple(
-                    sorted(
-                        split.received_sets.get(user_id, set()),
-                        key=lambda e: (len(e.id), e.id.digits),
-                    )
-                )
+                share = shares.get(user_id, ())
                 if loss_rate > 0.0 and share:
                     packets = packetizer.encode(share)
                     if fec is None:  # no parity protection
@@ -207,17 +208,17 @@ class SecureGroup:
                 used = member.apply_rekey(message.restricted_to(share))
                 delivered[user_id] = len(share)
                 total += used
-                if self._member_incomplete(member, user_id):
+                if self._member_incomplete(member):
                     incomplete.append(user_id)
         return RekeyReport(
             message, delivered, total, tuple(incomplete), repaired
         )
 
-    def _member_incomplete(self, member: GroupMember, user_id: Id) -> bool:
+    def _member_incomplete(self, member: GroupMember) -> bool:
+        latest = member.keystore.latest_version
+        current = self.key_tree.node_version
         return any(
-            member.keystore.latest_version(key_id)
-            != self.key_tree.node_version(key_id)
-            for key_id in self.key_tree.path_key_ids(user_id)
+            latest(key_id) != current(key_id) for key_id in member.path_key_ids
         )
 
     # ------------------------------------------------------------------

@@ -101,7 +101,6 @@ class SessionResult:
         "_build",
         "_src_index",
         "_src_index_size",
-        "_split_prep",
     )
 
     def __init__(
@@ -120,7 +119,6 @@ class SessionResult:
         self._build: Optional[Callable[[], Tuple]] = None
         self._src_index: Optional[Dict[Id, List[OverlayEdge]]] = None
         self._src_index_size = -1
-        self._split_prep = None  # cache slot for repro.compute split kernels
 
     @classmethod
     def deferred(
@@ -200,7 +198,6 @@ class SessionResult:
         self._build = None
         self._src_index = None
         self._src_index_size = -1
-        self._split_prep = None
 
     def _edges_by_src(self) -> Dict[Id, List[OverlayEdge]]:
         index = self._src_index

@@ -10,7 +10,7 @@ the key at that node.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..core.ids import Id
 from . import cipher
@@ -38,6 +38,12 @@ class KeyStore:
         if version is None:
             return key_id in self._latest
         return (key_id, version) in self._keys
+
+    @property
+    def secrets(self) -> Mapping[Tuple[Id, int], bytes]:
+        """Every held secret by ``(key_id, version)``, for callers that
+        probe many keys in a row; read it, change it through :meth:`put`."""
+        return self._keys
 
     def latest_version(self, key_id: Id) -> Optional[int]:
         return self._latest.get(key_id)

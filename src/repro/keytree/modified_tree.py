@@ -73,14 +73,19 @@ class ModifiedKeyTree:
         self.scheme.validate_user_id(user_id)
         if user_id in self._id_tree.user_ids:
             if user_id in self._pending_leaves:
-                # Rejoin within the interval: the structural leave never
-                # happened, so cancel it — but keep the u-node queued as
-                # changed, which still rotates its whole key path at the
-                # batch (conservatively preserving forward and backward
-                # secrecy for the time it spent outside the group).
+                # The ID left earlier in this interval: the structural
+                # leave never happened, so cancel it — but keep the u-node
+                # queued as changed, which still rotates its whole key
+                # path at the batch.  Whoever joins under the ID now may
+                # be a different host, so the u-node gets a new individual
+                # key: the batch wraps under it, and the departed holder
+                # of the old one can unwrap nothing.
                 self._pending_leaves.remove(user_id)
                 if user_id not in self._pending_joins:
                     self._pending_joins.append(user_id)
+                self._versions[user_id] += 1
+                if self.crypto:
+                    self._secrets[user_id] = cipher.generate_key(self._rng)
                 return
             raise ValueError(f"user {user_id} already in key tree")
         if user_id in self._pending_joins:
@@ -167,19 +172,29 @@ class ModifiedKeyTree:
         for user_id in leaves:
             changed_unodes.append(user_id)
             self._id_tree.remove_user(user_id)
-        # Drop state of nodes that no longer exist (departed u-nodes and
-        # pruned k-nodes).
-        for node_id in [n for n in self._versions if n not in self._id_tree]:
-            del self._versions[node_id]
-            self._secrets.pop(node_id, None)
+            # Drop the departed u-node and the k-nodes pruned with it:
+            # its path, up to the first node that still has descendants.
+            for key_id in self.path_key_ids(user_id):
+                if key_id in self._id_tree:
+                    break
+                del self._versions[key_id]
+                self._secrets.pop(key_id, None)
 
         updated = self._mark_updated(changed_unodes)
+        children = [self._children(node_id) for node_id in updated]
+        # One draw for the interval's new keys and nonces, handed out in
+        # the order the calls below make them.
+        drawn = (
+            cipher.draw_ahead(self._rng, len(updated) + sum(map(len, children)))
+            if self.crypto
+            else None
+        )
         for node_id in updated:
             self._versions[node_id] += 1
             if self.crypto:
-                self._secrets[node_id] = cipher.generate_key(self._rng)
+                self._secrets[node_id] = cipher.generate_key(drawn)
 
-        encryptions = self._generate_encryptions(updated)
+        encryptions = self._generate_encryptions(updated, children, drawn)
         self.interval += 1
         tctx = _trace_hooks.ACTIVE
         if tctx is not None:
@@ -208,15 +223,19 @@ class ModifiedKeyTree:
             )
         return self._id_tree.children(node_id)
 
-    def _generate_encryptions(self, updated: Sequence[Id]) -> List[Encryption]:
+    def _generate_encryptions(
+        self, updated: Sequence[Id], children: Sequence[List[Id]], rng
+    ) -> List[Encryption]:
+        """The new key of each updated node wrapped under each of its
+        ``children`` (one list per node, in the order of ``updated``)."""
         encryptions: List[Encryption] = []
-        for node_id in updated:
+        for node_id, node_children in zip(updated, children):
             new_version = self._versions[node_id]
-            for child in self._children(node_id):
+            for child in node_children:
                 payload = None
                 if self.crypto:
                     payload = cipher.encrypt(
-                        self._secrets[child], self._secrets[node_id], rng=self._rng
+                        self._secrets[child], self._secrets[node_id], rng=rng
                     )
                 encryptions.append(
                     Encryption(
@@ -241,16 +260,20 @@ def apply_rekey_message(store: KeyStore, message: RekeyMessage) -> List[Encrypti
     forward secrecy for departed users.
     """
     used: List[Encryption] = []
-    for enc in sorted(message.encryptions, key=lambda e: -len(e.encrypting_key_id)):
+    held = store.secrets
+    # Stable, so equally deep encryptions keep their message order.
+    for enc in sorted(
+        message.encryptions,
+        key=lambda e: len(e.encrypting_key_id.digits),
+        reverse=True,
+    ):
         if enc.payload is None:
             raise ValueError("rekey message carries no payloads (counting mode)")
-        if not store.has(enc.encrypting_key_id, enc.encrypting_version):
+        wrapping = held.get((enc.encrypting_key_id, enc.encrypting_version))
+        if wrapping is None or (enc.new_key_id, enc.new_version) in held:
             continue
-        if store.has(enc.new_key_id, enc.new_version):
-            continue
-        secret = store.unwrap(
-            enc.encrypting_key_id, enc.encrypting_version, enc.payload
+        store.put(
+            enc.new_key_id, enc.new_version, cipher.decrypt(wrapping, enc.payload)
         )
-        store.put(enc.new_key_id, enc.new_version, secret)
         used.append(enc)
     return used

@@ -2,8 +2,9 @@
 
 The vectorized ``"numpy"`` backend claims to be *bitwise identical* to
 the pure-Python ``"reference"`` backend on every kernel it accelerates:
-the FORWARD fan-out, Theorem-2 rekey splitting, and key-tree batch-node
-marking.  Property tests drive randomly generated worlds — receipt sets,
+the FORWARD fan-out and key-tree batch-node marking (and the Theorem-2
+rekey split must not care which backend produced the session it is
+handed).  Property tests drive randomly generated worlds — receipt sets,
 split boundaries, batch leave-sets — through both backends and compare
 the serialized results byte for byte (not approximately: the perf
 overhaul's equivalence discipline, see ``tests/test_perf_equivalence.py``
@@ -33,6 +34,7 @@ from repro.core.splitting import run_split_rekey
 from repro.core.tmesh import plan_session, rekey_session
 from repro.keytree.modified_tree import ModifiedKeyTree
 from tests.conftest import SMALL_SCHEME, make_static_world
+from tests.test_close_equivalence import reference_split_rekey
 
 pytestmark = [pytest.mark.conformance, pytest.mark.compute]
 
@@ -130,6 +132,13 @@ class TestFanoutEquivalence:
 # Theorem-2 splitting: random split boundaries (leave-sets)
 # ----------------------------------------------------------------------
 class TestSplitEquivalence:
+    """The split is no longer a backend operation (the vectorized twin
+    lost to the indexed lookup in :mod:`repro.core.splitting` and was
+    deleted), but it consumes what the backends produce: a session from
+    either backend must split to the same bytes, and those must be what
+    the per-hop definition (``split_for_next_hop`` at every forwarder)
+    gives."""
+
     @given(
         data=st.data(),
         digit_sets=_ID_SETS,
@@ -154,26 +163,25 @@ class TestSplitEquivalence:
             tree.request_leave(uid)
         message = tree.process_batch()
 
-        session = rekey_session(
+        ref_session = rekey_session(
             server_table, tables, topology, compute="reference"
         )
-        ref = run_split_rekey(session, message, compute="reference")
-        vec = run_split_rekey(session, message, compute=numpy_backend)
-        assert _split_state(ref) == _split_state(vec)
-
-        ref_sets = run_split_rekey(
-            session, message, track_sets=True, compute="reference"
+        vec_session = rekey_session(
+            server_table, tables, topology, compute=numpy_backend
         )
-        vec_sets = run_split_rekey(
-            session, message, track_sets=True, compute=numpy_backend
-        )
-        assert ref_sets.received_sets == vec_sets.received_sets
-        assert _split_state(ref_sets) == _split_state(vec_sets)
+        definition = reference_split_rekey(ref_session, message, track_sets=True)
+        for session in (ref_session, vec_session):
+            split = run_split_rekey(session, message, track_sets=True)
+            assert _split_state(split) == _split_state(definition)
+            assert split.received_sets == definition.received_sets
+            assert _split_state(run_split_rekey(session, message)) == _split_state(
+                definition
+            )
 
     def test_split_over_numpy_session_matches_reference_world(self):
         """The whole pipeline on one backend equals the whole pipeline on
         the other: sessions produced by either backend are interchangeable
-        inputs to either split kernel."""
+        inputs to the split."""
         backend = create_backend("numpy")
         ids = [Id([a, b, 0]) for a in range(4) for b in range(3)]
         topology, _, tables, server_table = make_static_world(
@@ -193,9 +201,10 @@ class TestSplitEquivalence:
         vec_session = rekey_session(
             server_table, tables, topology, compute=backend
         )
-        ref = run_split_rekey(ref_session, message, compute="reference")
-        vec = run_split_rekey(vec_session, message, compute=backend)
+        ref = run_split_rekey(ref_session, message)
+        vec = run_split_rekey(vec_session, message)
         assert _split_state(ref) == _split_state(vec)
+        assert sum(ref.received.values()) > 0
 
 
 # ----------------------------------------------------------------------

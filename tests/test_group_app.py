@@ -6,6 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.group import SecureGroup
+from repro.core.ids import IdScheme
+from repro.experiments.common import (
+    _default_thresholds,
+    build_topology,
+    server_host_of,
+)
+from repro.experiments.config import SMALL_GTITM
 from repro.net import TransitStubParams, TransitStubTopology
 
 PARAMS = TransitStubParams(
@@ -123,6 +130,78 @@ class TestSecrecy:
         from repro.keytree.modified_tree import apply_rekey_message
 
         assert apply_rekey_message(KeyStore(), report.message) == []
+
+
+class TestIdReuse:
+    """An ID that leaves and is handed out again inside one interval is a
+    rejoin to the key tree (no structural change), but the new holder may
+    be another host: the departed one must end up holding nothing the
+    interval's rekey message wraps under."""
+
+    def test_departed_holder_of_a_reused_id_unwraps_nothing(self):
+        scheme = IdScheme(num_digits=2, base=2)  # four IDs in all
+        topology = TransitStubTopology(num_hosts=12, params=PARAMS, seed=21)
+        group = SecureGroup(
+            topology,
+            server_host=11,
+            scheme=scheme,
+            thresholds=_default_thresholds(scheme),
+            seed=3,
+        )
+        members = [group.join(host) for host in range(4)]
+        group.end_interval()
+        departed = group.leave(members[1].user_id)
+        joiner = group.join(7)  # the one free ID is the one that just left
+        assert joiner.user_id == departed.user_id and joiner.host != departed.host
+        assert joiner.keystore.get(joiner.user_id) != departed.keystore.get(
+            departed.user_id
+        )
+        report = group.end_interval()
+        assert departed.apply_rekey(report.message) == 0
+        assert group.verify_member_keys() == []
+        blob = members[0].seal(b"after the ID changed hands")
+        assert joiner.open(blob) == b"after the ID changed hands"
+        with pytest.raises(KeyError):
+            departed.open(blob)
+
+    def test_leaves_first_churn_at_256_members_on_ten_seeds(self):
+        """Leaves before joins, the freed hosts free to come back: on the
+        code before the fix half of these seeds let a departed member
+        unwrap the interval."""
+        size, burst, spare = 256, 64, 8
+        topology = build_topology(
+            "gtitm", size + spare + 1, seed=20, gtitm_params=SMALL_GTITM
+        )
+        group = SecureGroup(topology, server_host_of(topology), seed=20)
+        hosts = [
+            int(h) for h in np.random.default_rng(20).permutation(size + spare)
+        ]
+        for host in hosts[:size]:
+            group.join(host)
+        group.end_interval()
+        free = hosts[size:]
+        reused = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for _ in range(2):
+                ids = sorted(group.members)
+                departed = [
+                    group.leave(ids[int(i)])
+                    for i in rng.choice(len(ids), burst, replace=False)
+                ]
+                free += [member.host for member in departed]
+                rng.shuffle(free)
+                joiners, free = free[:burst], free[burst:]
+                left = {member.user_id for member in departed}
+                reused += sum(group.join(host).user_id in left for host in joiners)
+                report = group.end_interval()
+                assert [
+                    member.user_id
+                    for member in departed
+                    if member.apply_rekey(report.message) > 0
+                ] == [], seed
+                assert group.verify_member_keys() == [], seed
+        assert reused > 0  # the schedule does reach the rejoin branch
 
 
 class TestChurn:

@@ -23,7 +23,17 @@ against Section 2.4):
 * ``compute-backends`` — the same fixed-seed session replayed through
                         every :mod:`repro.compute` backend under full
                         verification, then diffed backend against
-                        backend: the bitwise-equivalence contract.
+                        backend: the bitwise-equivalence contract.  Each
+                        backend's session is then split (Theorem 2) and
+                        held to the per-hop definition.
+* ``secure-close``    — leaves-first churn on a ``SecureGroup`` in a
+                        crowded ID space, so joiners are handed IDs
+                        that left in the same interval: after every
+                        close all members hold current keys and every
+                        departed member unwraps nothing.  Includes its
+                        own canary: a key tree that keeps the individual
+                        key of a reused ID (the forward-secrecy break
+                        fixed in PR 17) MUST trip the check.
 * ``sharded-scale``   — the 10k rung of the scale ladder under full
                         verification: the dense object path (trie-derived
                         tables, differential oracle included) against the
@@ -57,7 +67,7 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
-sys.path.insert(0, str(_ROOT))  # for tests.conftest (canary world builder)
+sys.path.insert(0, str(_ROOT))  # for tests.* (canary world builder, split reference)
 
 import numpy as np  # noqa: E402
 
@@ -230,6 +240,7 @@ def scenario_compute_backends(seed: int, users: int) -> str:
     backends = ["reference", "numpy"]
 
     states = {}
+    splits = {}
     summaries = []
     for name in backends:
         with verification(seed=seed) as ctx:
@@ -240,21 +251,165 @@ def scenario_compute_backends(seed: int, users: int) -> str:
                 (session.receipts, session.edges, session.duplicate_copies)
             )
             summaries.append(f"{name}: {ctx.summary()}")
-    if states["reference"] != states["numpy"]:
+        splits[name] = _split_against_definition(session, group, seed)
+    if states["reference"] != states["numpy"] or (
+        splits["reference"] != splits["numpy"]
+    ):
         raise InvariantViolation(
             [
                 ViolationReport(
                     checker="compute-equivalence",
                     citation="docs/PERFORMANCE.md (compute backends)",
                     detail="reference and numpy backends produced "
-                    "different session bytes",
+                    "different session or split bytes",
                     seed=seed,
                     repro="PYTHONPATH=src python tools/check_invariants.py "
                     f"--only compute-backends --seed {seed}",
                 )
             ]
         )
-    return "; ".join(summaries) + "; backends bitwise-equal"
+    return "; ".join(summaries) + "; backends bitwise-equal, split == definition"
+
+
+def _split_against_definition(session, group, seed: int) -> bytes:
+    """Split a 1/16 leave batch along ``session`` and hold the result to
+    the definition — ``split_for_next_hop`` run at every forwarder over
+    what it received, the loop the equivalence tests keep as their
+    reference.  Returns the split's bytes."""
+    import pickle
+
+    from repro.core.splitting import run_split_rekey
+    from repro.verify.report import ViolationReport
+    from tests.test_close_equivalence import reference_split_rekey, split_state
+
+    ids = sorted(group.records)
+    tree = ModifiedKeyTree(group.scheme)
+    for uid in ids:
+        tree.request_join(uid)
+    tree.process_batch()
+    for uid in ids[::16]:
+        tree.request_leave(uid)
+    message = tree.process_batch()
+
+    split = run_split_rekey(session, message, track_sets=True)
+    definition = reference_split_rekey(session, message, track_sets=True)
+    if split_state(split) != split_state(definition):
+        raise InvariantViolation(
+            [
+                ViolationReport(
+                    checker="split-definition",
+                    citation="Theorem 2 / Fig. 5",
+                    detail="run_split_rekey and the per-hop filter disagree "
+                    f"on a {message.rekey_cost}-encryption message",
+                    seed=seed,
+                    repro="PYTHONPATH=src python tools/check_invariants.py "
+                    f"--only compute-backends --seed {seed}",
+                )
+            ]
+        )
+    return pickle.dumps(split_state(split))
+
+
+class _KeepsKeyOfReusedId(ModifiedKeyTree):
+    """The rejoin branch as it was before PR 17: an ID that left and is
+    handed out again within the interval keeps its individual key."""
+
+    def request_join(self, user_id: Id) -> None:
+        if user_id in self._pending_leaves:
+            self._pending_leaves.remove(user_id)
+            if user_id not in self._pending_joins:
+                self._pending_joins.append(user_id)
+            return
+        super().request_join(user_id)
+
+
+def _secure_close_churn(seed: int, key_tree_cls=None) -> tuple:
+    """Six intervals of 8 leaves then 8 joins by other hosts on a
+    30-member group in a 64-ID space: crowded enough that many joiners
+    are handed an ID that left in the same interval.  Returns
+    ``(problems, reused)``."""
+    from repro.core.group import SecureGroup
+    from repro.experiments.common import _default_thresholds
+    from repro.net import TransitStubParams, TransitStubTopology
+
+    members, burst, hosts = 30, 8, 72
+    params = TransitStubParams(
+        transit_domains=3, transit_per_domain=3,
+        stubs_per_transit=2, stub_size=6,
+    )
+    topology = TransitStubTopology(num_hosts=hosts + 1, params=params, seed=seed)
+    group = SecureGroup(
+        topology, server_host=hosts, scheme=SMALL_SCHEME,
+        thresholds=_default_thresholds(SMALL_SCHEME), seed=seed,
+    )
+    if key_tree_cls is not None:
+        group.key_tree = key_tree_cls(
+            SMALL_SCHEME, crypto=True, rng=group.key_tree._rng
+        )
+    rng = np.random.default_rng(seed)
+    order = [int(h) for h in rng.permutation(hosts)]
+    for host in order[:members]:
+        group.join(host)
+    group.end_interval()
+    # A host that left goes to the back of the queue and does not come
+    # up again within the scenario: every reused ID changes hands.
+    free = order[members:]
+    problems = []
+    reused = 0
+    for interval in range(6):
+        ids = sorted(group.members)
+        departed = [
+            group.leave(ids[int(i)])
+            for i in rng.choice(len(ids), burst, replace=False)
+        ]
+        left = {member.user_id for member in departed}
+        joiners, free = free[:burst], free[burst:]
+        reused += sum(group.join(host).user_id in left for host in joiners)
+        report = group.end_interval()
+        problems += [
+            f"interval {interval}: {line}" for line in group.verify_member_keys()
+        ]
+        problems += [
+            f"interval {interval}: departed {member.user_id} (host "
+            f"{member.host}) unwrapped {used} keys of the interval's message"
+            for member in departed
+            if (used := member.apply_rekey(report.message)) > 0
+        ]
+    return problems, reused
+
+
+def scenario_secure_close(seed: int, users: int) -> str:
+    from repro.verify.report import ViolationReport
+
+    def violation(checker: str, detail: str) -> InvariantViolation:
+        return InvariantViolation(
+            [
+                ViolationReport(
+                    checker=checker,
+                    citation="Section 2.4 (forward secrecy of batch rekeying)",
+                    detail=detail,
+                    seed=seed,
+                    repro="PYTHONPATH=src python tools/check_invariants.py "
+                    f"--only secure-close --seed {seed}",
+                )
+            ]
+        )
+
+    problems, reused = _secure_close_churn(seed)
+    if problems:
+        raise violation("secure-close", "; ".join(problems[:4]))
+    if not reused:
+        raise violation("secure-close", "no joiner was handed a reused ID")
+    canary_problems, _ = _secure_close_churn(seed, _KeepsKeyOfReusedId)
+    if not any("unwrapped" in line for line in canary_problems):
+        raise violation(
+            "secure-close-canary",
+            "a key tree that keeps the individual key of a reused ID "
+            "went undetected",
+        )
+    return (f"6 intervals, {reused} IDs changed hands within an interval, "
+            "members current, departed unwrap 0; canary tripped "
+            f"({len(canary_problems)} findings)")
 
 
 def scenario_sharded_scale(seed: int, users: int) -> str:
@@ -367,6 +522,7 @@ SCENARIOS = [
     ("distributed", scenario_distributed, False),
     ("traced-rekey", scenario_traced_rekey, False),
     ("compute-backends", scenario_compute_backends, False),
+    ("secure-close", scenario_secure_close, False),
     ("sharded-scale", scenario_sharded_scale, False),
     ("corruption-canary", scenario_corruption_canary, True),
 ]
