@@ -21,8 +21,8 @@ Run with the bench lane::
 Refresh the committed numbers after intentional changes::
 
     PYTHONPATH=src python tools/perf_baseline.py --out BENCH_PR9.json \
-        --rss --only rekey_session_10k rekey_session_10k_numpy \
-        rekey_session_100k_stream rekey_session_1m_stream
+        --rss --only rekey_session_10k rekey_session_100k_stream \
+        rekey_session_1m_stream
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ TOLERANCE = float(os.environ.get("REPRO_RSS_TOLERANCE", "0.5"))
 #: The guarded rungs: every scale workload with a committed RSS bound.
 GUARDED = [
     "rekey_session_10k",
-    "rekey_session_10k_numpy",
     "rekey_session_100k_stream",
 ]
 

@@ -129,14 +129,6 @@ def main(argv=None) -> int:
         "prints a summary to stderr without one.  Flag goes before the "
         "subcommand: python -m repro --trace=out.jsonl fig 7",
     )
-    parser.add_argument(
-        "--compute",
-        default=None,
-        metavar="BACKEND",
-        help="repro.compute backend for the protocol kernels "
-        "(docs/PERFORMANCE.md): 'reference' or 'numpy'.  Flag goes before "
-        "the subcommand: python -m repro --compute=numpy fig 7",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_report = sub.add_parser("report", help="run all figures, emit markdown")
@@ -155,13 +147,6 @@ def main(argv=None) -> int:
     # normalize it to the explicit empty form before parsing.
     argv = ["--trace=" if token == "--trace" else token for token in argv]
     args = parser.parse_args(argv)
-    if args.compute is not None:
-        from .compute import set_default_backend
-
-        try:
-            set_default_backend(args.compute)
-        except KeyError as exc:
-            parser.error(str(exc.args[0]) if exc.args else str(exc))
     if not args.verify and args.trace is None:
         return args.fn(args)
 

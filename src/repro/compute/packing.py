@@ -1,4 +1,4 @@
-"""Bit-packed ID/prefix arrays for the vectorized kernels.
+"""Bit-packed ID/prefix codes for the array-table kernels.
 
 An :class:`~repro.core.ids.Id` of up to 8 digits with base <= 256 packs
 into one ``uint64``: digit ``k`` occupies bits ``56 - 8k .. 63 - 8k``
@@ -7,16 +7,15 @@ properties make this the right shape for the paper's prefix algebra:
 
 * **Prefix test as a masked XOR.**  ``a`` and ``b`` agree on their first
   ``l`` digits iff ``(a ^ b) & MASKS[l] == 0``, where ``MASKS[l]`` keeps
-  the top ``8*l`` bits.  The Theorem-2 predicate and k-node marking both
-  reduce to this one vectorizable comparison plus length bookkeeping.
+  the top ``8*l`` bits: one vectorizable comparison.
 * **Order preservation.**  For IDs of *equal length*, unsigned code
   order equals lexicographic digit order — so sorting packed codes
   reproduces the reference's ``sorted(..., key=lambda n: n.digits)``
   within a length class.
 
-The paper's own scheme (D=5, B=256) fits with room to spare; schemes
-outside ``D <= 8, B <= 256`` simply aren't packable and callers must
-fall back to the reference loops (:func:`scheme_packable`).
+The paper's own scheme (D=5, B=256) fits with room to spare; an ID
+outside ``D <= 8, B <= 256`` doesn't pack (:func:`pack_id` returns
+``None``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ids import Id, IdScheme
+from ..core.ids import Id
 
 #: Max digits per packed ID (8 bits each in a uint64).
 MAX_PACK_DIGITS = 8
@@ -36,11 +35,6 @@ MASKS = np.zeros(MAX_PACK_DIGITS + 1, dtype=np.uint64)
 for _l in range(1, MAX_PACK_DIGITS + 1):
     MASKS[_l] = np.uint64(((1 << (8 * _l)) - 1) << (64 - 8 * _l))
 del _l
-
-
-def scheme_packable(scheme: IdScheme) -> bool:
-    """Can every ID of this scheme pack into one uint64?"""
-    return scheme.num_digits <= MAX_PACK_DIGITS and scheme.base <= 256
 
 
 def pack_digits(digits: Sequence[int]) -> int:
@@ -70,33 +64,3 @@ def pack_id(node_id: Id) -> Optional[Tuple[int, int]]:
     packed = (pack_digits(digits), len(digits))
     object.__setattr__(node_id, "_packed", packed)
     return packed
-
-
-def pack_ids(ids: Sequence[Id]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Column arrays ``(codes uint64, lengths int64)`` for a batch of
-    IDs, or ``None`` if any member doesn't pack."""
-    n = len(ids)
-    codes = np.empty(n, dtype=np.uint64)
-    lens = np.empty(n, dtype=np.int64)
-    for k, node_id in enumerate(ids):
-        packed = pack_id(node_id)
-        if packed is None:
-            return None
-        codes[k] = packed[0]
-        lens[k] = packed[1]
-    return codes, lens
-
-
-def prefix_compatible_matrix(
-    a_codes: np.ndarray,
-    a_lens: np.ndarray,
-    b_codes: np.ndarray,
-    b_lens: np.ndarray,
-) -> np.ndarray:
-    """Boolean matrix ``M[i, j]``: is ``a_i`` a prefix of ``b_j`` or
-    ``b_j`` a prefix of ``a_i``?  (The symmetric prefix relation of
-    Theorem 2: equivalent to agreeing on the first ``min(len_a, len_b)``
-    digits.)"""
-    min_len = np.minimum(a_lens[:, None], b_lens[None, :])
-    mask = MASKS[min_len]
-    return ((a_codes[:, None] ^ b_codes[None, :]) & mask) == 0

@@ -72,11 +72,10 @@ class NeighborTable:
     """A user's (or the key server's) neighbor table.
 
     ``_mutation_epoch`` is a class-wide counter bumped by every mutating
-    operation on *any* table.  Cross-table caches (the compiled fan-out
-    structures of :mod:`repro.compute.numpy_backend`) record the epoch
-    they were built at and recompile when it moves — a coarse but exact
-    invalidation: any table mutation anywhere invalidates every compiled
-    structure, and an unchanged epoch guarantees no table changed.
+    operation on *any* table: the work counter
+    ``tests/test_upkeep_work.py`` pins (an operation's cost in table
+    mutations is the epoch's movement across it, and an unchanged epoch
+    guarantees no table changed).
 
     The key server's table is modelled as a table whose owner ID is the
     null string: only row 0 is populated and no entry is skipped as "own

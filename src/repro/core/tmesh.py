@@ -16,20 +16,19 @@ the sender receives exactly one copy.  The session runner below records
 enough to let the test suite check that theorem, Lemmas 1/2, and every
 latency metric of Section 4.1 (user stress, application-layer delay, RDP).
 
-One pure-Python runner exists: :func:`forward_session`, Fig. 2 as an
-event queue (failed hosts, backup neighbors, fault injection).
-:func:`run_multicast` hands fault-free sessions to the
-:mod:`repro.compute` seam — whose ``"reference"`` backend is that same
-loop and whose ``"numpy"`` backend compiles the fan-out once per table
-state — and runs everything else through it directly.
+One runner exists: :func:`forward_session`, Fig. 2 as an event queue
+(failed hosts, backup neighbors, fault injection).  Every entry point
+below — :func:`run_multicast`, :meth:`SessionPlan.run`,
+:func:`rekey_session`, :func:`data_session` — is that loop plus the
+verify/trace observation (docs/PERFORMANCE.md, "Why there is one
+FORWARD").
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
-from ..compute import resolve_backend
 from ..net.topology import Topology
 from ..trace import hooks as _trace_hooks
 from ..verify import hooks as _verify_hooks
@@ -82,23 +81,14 @@ class SessionResult:
     O(members x edges) a per-member scan would cost.  The index is
     rebuilt transparently if ``edges`` grows after a lookup (repair
     layers append edges to finished sessions).
-
-    A result may be *deferred* (:meth:`deferred`): accelerated compute
-    backends keep a session as arrays and build the Python
-    receipt/edge/duplicate objects only on first access, so pipelines
-    that only feed the session onward (or read a handful of metrics)
-    never pay for objects they don't look at.  Materialization is
-    transparent — every accessor behaves as if the session were built
-    eagerly — and happens at most once.
     """
 
     __slots__ = (
         "sender",
         "sender_host",
-        "_receipts",
-        "_edges",
-        "_duplicates",
-        "_build",
+        "receipts",
+        "edges",
+        "duplicate_copies",
         "_src_index",
         "_src_index_size",
     )
@@ -113,45 +103,13 @@ class SessionResult:
     ):
         self.sender = sender
         self.sender_host = sender_host
-        self._receipts = {} if receipts is None else receipts
-        self._edges = [] if edges is None else edges
-        self._duplicates = {} if duplicate_copies is None else duplicate_copies
-        self._build: Optional[Callable[[], Tuple]] = None
+        self.receipts: Dict[Id, Receipt] = {} if receipts is None else receipts
+        self.edges: List[OverlayEdge] = [] if edges is None else edges
+        self.duplicate_copies: Dict[Id, int] = (
+            {} if duplicate_copies is None else duplicate_copies
+        )
         self._src_index: Optional[Dict[Id, List[OverlayEdge]]] = None
         self._src_index_size = -1
-
-    @classmethod
-    def deferred(
-        cls, sender: Id, sender_host: int, build: Callable[[], Tuple]
-    ) -> "SessionResult":
-        """A session whose ``build()`` -> ``(receipts, edges,
-        duplicate_copies)`` runs on first payload access."""
-        result = cls(sender, sender_host)
-        result._build = build
-        return result
-
-    def _materialize(self) -> None:
-        build = self._build
-        self._build = None
-        self._receipts, self._edges, self._duplicates = build()
-
-    @property
-    def receipts(self) -> Dict[Id, Receipt]:
-        if self._build is not None:
-            self._materialize()
-        return self._receipts
-
-    @property
-    def edges(self) -> List[OverlayEdge]:
-        if self._build is not None:
-            self._materialize()
-        return self._edges
-
-    @property
-    def duplicate_copies(self) -> Dict[Id, int]:
-        if self._build is not None:
-            self._materialize()
-        return self._duplicates
 
     # Same equality the former dataclass had: payload fields compare,
     # caches don't, unhashable.
@@ -176,8 +134,8 @@ class SessionResult:
             f"duplicate_copies={self.duplicate_copies!r})"
         )
 
-    # Deferred builders close over backend arrays and are not picklable;
-    # a session crossing a process boundary ships materialized.
+    # The payload crosses a process boundary; the source index is a
+    # cache and is rebuilt on the other side.
     def __getstate__(self):
         return (
             self.sender,
@@ -191,11 +149,10 @@ class SessionResult:
         (
             self.sender,
             self.sender_host,
-            self._receipts,
-            self._edges,
-            self._duplicates,
+            self.receipts,
+            self.edges,
+            self.duplicate_copies,
         ) = state
-        self._build = None
         self._src_index = None
         self._src_index_size = -1
 
@@ -311,7 +268,6 @@ def run_multicast(
     failed_hosts: Optional[set] = None,
     use_backups: bool = False,
     fault_plan: Optional["FaultPlan"] = None,
-    compute=None,
 ) -> SessionResult:
     """Run one T-mesh multicast session and record its delivery tree.
 
@@ -332,28 +288,16 @@ def run_multicast(
     duplication enqueues extra copies (surfacing as
     ``duplicate_copies``).  This is the *unrepaired* transport; layer
     :class:`repro.alm.reliable.ReliableSession` on top for NACK repair.
-
-    ``compute`` selects the :mod:`repro.compute` backend used for the
-    fault-free case (a name, an instance, or ``None`` for the process
-    default); backup recovery and fault injection always run
-    :func:`forward_session`.
     """
-    if use_backups or fault_plan is not None:
-        result = forward_session(
-            sender_table,
-            tables,
-            topology,
-            processing_delay,
-            failed_hosts,
-            use_backups,
-            fault_plan,
-        )
-    else:
-        # The pure FORWARD fan-out (with at most lost subtrees) is the
-        # compute seam's job; backends are bitwise-equivalent here.
-        result = resolve_backend(compute).fanout_session(
-            sender_table, tables, topology, processing_delay, failed_hosts
-        )
+    result = forward_session(
+        sender_table,
+        tables,
+        topology,
+        processing_delay,
+        failed_hosts,
+        use_backups,
+        fault_plan,
+    )
     return _observe_session(
         result,
         sender_table,
@@ -375,8 +319,7 @@ def forward_session(
 ) -> SessionResult:
     """Fig. 2 FORWARD as an event queue ordered by arrival time: the
     semantic definition of a session (arguments as in
-    :func:`run_multicast`), and the ``"reference"`` compute backend's
-    fan-out when called with no backups and no fault plan."""
+    :func:`run_multicast`)."""
     sender = sender_table.owner
     sender_id = sender.user_id
     result = SessionResult(sender=sender_id, sender_host=sender.host)
@@ -477,18 +420,10 @@ class SessionPlan:
         self.tables = tables
 
     def run(
-        self,
-        topology: Topology,
-        processing_delay: float = 0.0,
-        compute=None,
+        self, topology: Topology, processing_delay: float = 0.0
     ) -> SessionResult:
-        """Run one fault-free session against ``topology``'s delays.
-
-        ``compute`` selects the :mod:`repro.compute` backend (name,
-        instance, or ``None`` for the process default); every backend
-        produces the same session bitwise.
-        """
-        result = resolve_backend(compute).fanout_session(
+        """Run one fault-free session against ``topology``'s delays."""
+        result = forward_session(
             self.sender_table, self.tables, topology, processing_delay
         )
         return _observe_session(
@@ -514,7 +449,6 @@ def rekey_session(
     topology: Topology,
     processing_delay: float = 0.0,
     plan: Optional[SessionPlan] = None,
-    compute=None,
 ) -> SessionResult:
     """A rekey-transport session: the key server is the sender.
 
@@ -523,12 +457,10 @@ def rekey_session(
     if not server_table.is_server_table:
         raise ValueError("rekey transport must be sourced at the key server")
     if plan is not None:
-        if plan.sender_table is not server_table:
-            raise ValueError("plan was built for a different server table")
-        return plan.run(topology, processing_delay, compute=compute)
-    return run_multicast(
-        server_table, tables, topology, processing_delay, compute=compute
-    )
+        if plan.sender_table is not server_table or plan.tables is not tables:
+            raise ValueError("plan was built for a different server table or tables")
+        return plan.run(topology, processing_delay)
+    return run_multicast(server_table, tables, topology, processing_delay)
 
 
 def data_session(
@@ -536,11 +468,8 @@ def data_session(
     tables: Dict[Id, NeighborTable],
     topology: Topology,
     processing_delay: float = 0.0,
-    compute=None,
 ) -> SessionResult:
     """A data-transport session: a particular user is the sender."""
     if sender_id == NULL_ID or sender_id not in tables:
         raise ValueError(f"sender {sender_id} is not a user in the group")
-    return run_multicast(
-        tables[sender_id], tables, topology, processing_delay, compute=compute
-    )
+    return run_multicast(tables[sender_id], tables, topology, processing_delay)

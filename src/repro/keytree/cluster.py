@@ -69,7 +69,6 @@ class ClusterRekeyingTree:
         self._tree = ModifiedKeyTree(scheme, crypto=crypto, rng=rng)
         # Cluster prefix -> members in join order; the first is the leader.
         self._clusters: Dict[Id, List[Id]] = {}
-        self._clock = 0  # the server's logical join clock
 
     # ------------------------------------------------------------------
     @property
@@ -106,7 +105,6 @@ class ClusterRekeyingTree:
         """Register a join; returns True iff the user became a cluster
         leader (i.e. the join incurs group rekeying)."""
         self.scheme.validate_user_id(user_id)
-        self._clock += 1
         cluster = self.cluster_of(user_id)
         members = self._clusters.get(cluster)
         if members:

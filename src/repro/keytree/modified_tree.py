@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..compute import resolve_backend
 from ..core.id_tree import IdTree
 from ..core.ids import Id, IdScheme, NULL_ID
 from ..crypto import cipher
@@ -45,16 +44,11 @@ class ModifiedKeyTree:
         scheme: IdScheme,
         crypto: bool = False,
         rng: Optional[np.random.Generator] = None,
-        compute=None,
     ):
         self.scheme = scheme
         self.crypto = crypto
         # lint: disable=determinism-unseeded-rng -- interactive-use fallback; every driver/test threads a seeded Generator
         self._rng = rng if rng is not None else np.random.default_rng()
-        # The repro.compute backend used for batch node marking; ``None``
-        # re-resolves the process default on every batch so a tree built
-        # before ``set_default_backend`` still honors it.
-        self._compute = compute
         self._id_tree = IdTree(scheme)
         self._versions: Dict[Id, int] = {}
         self._secrets: Dict[Id, bytes] = {}
@@ -206,14 +200,14 @@ class ModifiedKeyTree:
     def _mark_updated(self, changed_unodes: Sequence[Id]) -> List[Id]:
         """K-nodes whose keys must change: every surviving k-node on the
         path from a changed u-node to the root, ordered by (depth, digits)
-        so crypto-mode secret generation is reproducible for a given rng.
-        Runs on the tree's :mod:`repro.compute` backend; every backend
-        returns the identical list."""
-        return resolve_backend(self._compute).mark_updated(
-            changed_unodes,
-            self._id_tree.__contains__,
-            self.scheme.num_digits,
-        )
+        so crypto-mode secret generation is reproducible for a given rng."""
+        marked: Set[Id] = set()
+        for user_id in changed_unodes:
+            for level in range(self.scheme.num_digits):
+                prefix = user_id.prefix(level)
+                if prefix in self._id_tree:
+                    marked.add(prefix)
+        return sorted(marked, key=lambda n: (len(n), n.digits))
 
     def _children(self, node_id: Id) -> List[Id]:
         if len(node_id) == self.scheme.num_digits - 1:

@@ -115,8 +115,8 @@ ENTROPY_PACKAGES = frozenset({"crypto"})
 #: whose insertion order is guaranteed.  ``net`` joined when the
 #: scheduling seam (``repro.net.scheduling`` / ``repro.net.eventloop``)
 #: moved message delivery onto protocol paths.
-#: ``compute`` joined when the vectorized backend seam (``repro.compute``)
-#: took over the FORWARD fan-out, rekey-split, and key-tree kernels.
+#: ``compute`` is here because its packed-ID array tables produce the
+#: canonical receipt digest the scale ladder compares bit for bit.
 PROTOCOL_PACKAGES = frozenset(
     {"core", "keytree", "alm", "sim", "distributed", "net", "compute"}
 )
@@ -199,10 +199,25 @@ LAYER_FORBIDDEN: dict[str, frozenset[str]] = {
     "net": frozenset(
         {"sim", "distributed", "experiments", "service", "trace", "verify"}
     ),
-    # Compute backends sit beside core: they may reach into the protocol
-    # layers they vectorize, never into orchestration or observability.
+    # ``compute`` is a leaf over ``core.ids`` (packed-ID codes and the
+    # array tables built on them): ``core`` is the only package it may
+    # import.
     "compute": frozenset(
-        {"sim", "distributed", "experiments", "service", "trace", "verify", "alm"}
+        {
+            "alm",
+            "crypto",
+            "distributed",
+            "experiments",
+            "faults",
+            "keytree",
+            "metrics",
+            "net",
+            "perf",
+            "service",
+            "sim",
+            "trace",
+            "verify",
+        }
     ),
     "sim": frozenset(
         {"distributed", "experiments", "service", "trace", "verify"}

@@ -18,7 +18,8 @@ linear in members — so the scale rungs fake *only the construction*
   prefix share row lists (:class:`~repro.core.neighbor_table.
   StaticPrimaryTable`), so the whole 10k world is a few MB instead of
   10k full tables.  This is the *dense object path*: real
-  ``SessionResult``s, both compute backends, full verification.
+  ``SessionResult``s from :func:`~repro.core.tmesh.forward_session`,
+  full verification.
 * :func:`build_array_world` / :func:`run_streaming_rekey` are the
   *streaming array path*: the same world as bit-packed uint64 codes and
   a coordinate array, rekeyed one top-level shard at a time with

@@ -248,23 +248,7 @@ def _setup_rekey_10k(ctx: dict) -> Callable[[], object]:
     from ..core.tmesh import rekey_session
 
     topology, server_table, tables = _scale_world(ctx, 10_000)
-    return lambda: rekey_session(
-        server_table, tables, topology, compute="reference"
-    )
-
-
-def _setup_rekey_10k_numpy(ctx: dict) -> Callable[[], object]:
-    from ..core.tmesh import rekey_session
-
-    topology, server_table, tables = _scale_world(ctx, 10_000)
-    # Prime the one-time structure compile so the rung times the
-    # steady-state replay, mirroring how the figure experiments reuse a
-    # group across thousands of sessions.
-    session = rekey_session(server_table, tables, topology, compute="numpy")
-    session.receipts
-    return lambda: rekey_session(
-        server_table, tables, topology, compute="numpy"
-    )
+    return lambda: rekey_session(server_table, tables, topology)
 
 
 def _array_world(ctx: dict, num_users: int, seed: int = 20):
@@ -332,13 +316,6 @@ WORKLOADS: Dict[str, Workload] = {
             "rekey_session_10k",
             5,
             _setup_rekey_10k,
-            group_size=10_000,
-            micro=False,
-        ),
-        Workload(
-            "rekey_session_10k_numpy",
-            15,
-            _setup_rekey_10k_numpy,
             group_size=10_000,
             micro=False,
         ),

@@ -297,10 +297,23 @@ class TestSessionEquivalence:
             assert planned.edges == classic.edges
             assert planned.duplicate_copies == classic.duplicate_copies
 
+    def test_session_survives_pickle(self, small_world):
+        """A session crossing a process boundary ships its payload, not
+        the source index, and the index rebuilds on the other side."""
+        topology, group = small_world
+        session = rekey_session(group.server_table, group.tables, topology)
+        member = next(e.src for e in session.edges if e.src != session.sender)
+        stress = session.user_stress(member)  # builds the index before the dump
+        clone = pickle.loads(pickle.dumps(session))
+        assert clone._src_index is None
+        assert clone == session
+        assert list(clone.receipts) == list(session.receipts)
+        assert clone.user_stress(member) == stress > 0
+
     def test_classic_fast_and_general_drain_loops_agree(self, small_world):
-        """run_multicast's fault-free compute-seam path must equal the
-        backup-recovery path of forward_session with nothing to recover
-        from (forced here by passing an impossible failed host)."""
+        """A fault-free session must equal the backup-recovery run of
+        forward_session with nothing to recover from (forced here by
+        passing an impossible failed host)."""
         topology, group = small_world
         fast = run_multicast(group.server_table, group.tables, topology)
         general = run_multicast(
@@ -314,63 +327,6 @@ class TestSessionEquivalence:
         assert fast.receipts == general.receipts
         assert fast.edges == general.edges
         assert fast.duplicate_copies == general.duplicate_copies
-
-
-# ----------------------------------------------------------------------
-# Compute backends: numpy kernels vs the reference loops
-# ----------------------------------------------------------------------
-class TestComputeBackendEquivalence:
-    """The :mod:`repro.compute` seam inherits this module's discipline:
-    the ``"numpy"`` backend must be semantically invisible next to
-    ``"reference"``.  Property-based coverage lives in
-    ``tests/test_compute_backends.py``; these cases pin the fixed
-    worlds the rest of this module uses."""
-
-    @pytest.fixture(scope="class")
-    def numpy_backend(self):
-        from repro.compute import create_backend
-
-        return create_backend("numpy")
-
-    def test_session_bitwise_identical(self, small_world, numpy_backend):
-        topology, group = small_world
-        ref = rekey_session(
-            group.server_table, group.tables, topology, compute="reference"
-        )
-        vec = rekey_session(
-            group.server_table, group.tables, topology, compute=numpy_backend
-        )
-        assert list(ref.receipts) == list(vec.receipts)
-        assert pickle.dumps(
-            (ref.receipts, ref.edges, ref.duplicate_copies)
-        ) == pickle.dumps((vec.receipts, vec.edges, vec.duplicate_copies))
-
-    def test_deferred_session_survives_pickle(self, small_world, numpy_backend):
-        """The numpy backend's lazy SessionResult must materialize on
-        pickle, so fork-boundary payloads stay byte-compatible."""
-        topology, group = small_world
-        vec = rekey_session(
-            group.server_table, group.tables, topology, compute=numpy_backend
-        )
-        clone = pickle.loads(pickle.dumps(vec))
-        assert clone.receipts == vec.receipts
-        assert clone.edges == vec.edges
-        assert clone.duplicate_copies == vec.duplicate_copies
-
-    def test_plan_replay_matches_classic_on_both_backends(
-        self, small_world, numpy_backend
-    ):
-        topology, group = small_world
-        classic = rekey_session(
-            group.server_table, group.tables, topology, compute="reference"
-        )
-        plan = plan_session(group.server_table, group.tables)
-        for backend in ("reference", numpy_backend):
-            replayed = plan.run(topology, compute=backend)
-            assert list(replayed.receipts) == list(classic.receipts)
-            assert replayed.receipts == classic.receipts
-            assert replayed.edges == classic.edges
-            assert replayed.duplicate_copies == classic.duplicate_copies
 
 
 # ----------------------------------------------------------------------

@@ -297,8 +297,7 @@ class TestFailureResilience:
         assert session.duplicate_copies == {}
 
 
-@pytest.mark.parametrize("compute", ["reference", "numpy"])
-def test_plan_survives_a_leave(compute):
+def test_plan_survives_a_leave():
     """A plan made before a leave must not forward to the leaver: a
     departed member reads nothing sent after it left."""
     from repro.experiments.common import build_group, build_topology
@@ -306,15 +305,20 @@ def test_plan_survives_a_leave(compute):
     topology = build_topology("gtitm", 64, seed=20)
     group = build_group(topology, 64, seed=20)
     plan = plan_session(group.server_table, group.tables)
-    first = rekey_session(
-        group.server_table, group.tables, topology, plan=plan, compute=compute
-    )
+    first = rekey_session(group.server_table, group.tables, topology, plan=plan)
     victim = next(iter(first.receipts))
     group.leave(victim)
-    planned = rekey_session(
-        group.server_table, group.tables, topology, plan=plan, compute=compute
-    )
-    assert planned == rekey_session(
-        group.server_table, group.tables, topology, compute=compute
-    )
+    planned = rekey_session(group.server_table, group.tables, topology, plan=plan)
+    assert planned == rekey_session(group.server_table, group.tables, topology)
     assert victim not in planned.receipts
+
+
+def test_plan_for_other_tables_is_rejected():
+    """A plan runs over its own tables dict, so handing rekey_session a
+    different one beside it must raise, not be silently ignored."""
+    topology, _, tables, server_table = build_world(FIG1_SCHEME, FIG1_IDS)
+    plan = plan_session(server_table, tables)
+    fewer = {uid: tables[uid] for uid in FIG1_IDS[:-1]}
+    with pytest.raises(ValueError, match="different server table or tables"):
+        rekey_session(server_table, fewer, topology, plan=plan)
+    assert rekey_session(server_table, tables, topology, plan=plan).receipts

@@ -20,12 +20,10 @@ against Section 2.4):
                         256-user rekey, with the trace-determinism
                         invariant (same seed => byte-identical trace)
                         checked over two runs.
-* ``compute-backends`` — the same fixed-seed session replayed through
-                        every :mod:`repro.compute` backend under full
-                        verification, then diffed backend against
-                        backend: the bitwise-equivalence contract.  Each
-                        backend's session is then split (Theorem 2) and
-                        held to the per-hop definition.
+* ``split-definition`` — one fixed-seed session under full
+                        verification, then a leave batch split along it
+                        (Theorem 2) and held to the per-hop definition,
+                        ``split_for_next_hop`` at every forwarder.
 * ``secure-close``    — leaves-first churn on a ``SecureGroup`` in a
                         crowded ID space, so joiners are handed IDs
                         that left in the same interval: after every
@@ -223,64 +221,23 @@ def scenario_traced_rekey(seed: int, users: int) -> str:
             f"({len(first.splitlines())} lines)")
 
 
-def scenario_compute_backends(seed: int, users: int) -> str:
-    """Replay one fixed-seed session through every compute backend under
-    full verification (each run is checked against the brute-force
-    differential oracle), then diff the backends against each other: the
-    bitwise-equivalence contract of :mod:`repro.compute`
-    (docs/PERFORMANCE.md)."""
-    import pickle
-
+def scenario_split_definition(seed: int, users: int) -> str:
+    """One fixed-seed rekey session under full verification (checked
+    against the brute-force differential oracle), then a 1/16 leave
+    batch split along it and held to the definition —
+    ``split_for_next_hop`` run at every forwarder over what it received,
+    the loop the equivalence tests keep as their reference."""
+    from repro.core.splitting import run_split_rekey
     from repro.experiments.common import build_group, build_topology
     from repro.verify.report import ViolationReport
+    from tests.test_close_equivalence import reference_split_rekey, split_state
 
     size = min(users, 256)
     topology = build_topology("gtitm", size, seed=seed)
     group = build_group(topology, size, seed=seed)
-    backends = ["reference", "numpy"]
-
-    states = {}
-    splits = {}
-    summaries = []
-    for name in backends:
-        with verification(seed=seed) as ctx:
-            session = rekey_session(
-                group.server_table, group.tables, topology, compute=name
-            )
-            states[name] = pickle.dumps(
-                (session.receipts, session.edges, session.duplicate_copies)
-            )
-            summaries.append(f"{name}: {ctx.summary()}")
-        splits[name] = _split_against_definition(session, group, seed)
-    if states["reference"] != states["numpy"] or (
-        splits["reference"] != splits["numpy"]
-    ):
-        raise InvariantViolation(
-            [
-                ViolationReport(
-                    checker="compute-equivalence",
-                    citation="docs/PERFORMANCE.md (compute backends)",
-                    detail="reference and numpy backends produced "
-                    "different session or split bytes",
-                    seed=seed,
-                    repro="PYTHONPATH=src python tools/check_invariants.py "
-                    f"--only compute-backends --seed {seed}",
-                )
-            ]
-        )
-    return "; ".join(summaries) + "; backends bitwise-equal, split == definition"
-
-
-def _split_against_definition(session, group, seed: int) -> bytes:
-    """Split a 1/16 leave batch along ``session`` and hold the result to
-    the definition — ``split_for_next_hop`` run at every forwarder over
-    what it received, the loop the equivalence tests keep as their
-    reference.  Returns the split's bytes."""
-    import pickle
-
-    from repro.core.splitting import run_split_rekey
-    from repro.verify.report import ViolationReport
-    from tests.test_close_equivalence import reference_split_rekey, split_state
+    with verification(seed=seed) as ctx:
+        session = rekey_session(group.server_table, group.tables, topology)
+        summary = ctx.summary()
 
     ids = sorted(group.records)
     tree = ModifiedKeyTree(group.scheme)
@@ -303,11 +260,11 @@ def _split_against_definition(session, group, seed: int) -> bytes:
                     f"on a {message.rekey_cost}-encryption message",
                     seed=seed,
                     repro="PYTHONPATH=src python tools/check_invariants.py "
-                    f"--only compute-backends --seed {seed}",
+                    f"--only split-definition --seed {seed}",
                 )
             ]
         )
-    return pickle.dumps(split_state(split))
+    return f"{summary}; split == definition ({message.rekey_cost} encryptions)"
 
 
 class _KeepsKeyOfReusedId(ModifiedKeyTree):
@@ -521,7 +478,7 @@ SCENARIOS = [
     ("churn", scenario_churn, False),
     ("distributed", scenario_distributed, False),
     ("traced-rekey", scenario_traced_rekey, False),
-    ("compute-backends", scenario_compute_backends, False),
+    ("split-definition", scenario_split_definition, False),
     ("secure-close", scenario_secure_close, False),
     ("sharded-scale", scenario_sharded_scale, False),
     ("corruption-canary", scenario_corruption_canary, True),

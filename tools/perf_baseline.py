@@ -6,13 +6,12 @@ Usage (from the repo root)::
     python tools/perf_baseline.py                       # refresh post numbers
     python tools/perf_baseline.py --only fig7_experiment
     python tools/perf_baseline.py --pre-tree /path/to/old/src
-    python tools/perf_baseline.py --out BENCH_PR7.json \
-        --compute numpy --compare BENCH_PR2.json        # PR-over-PR speedups
+    python tools/perf_baseline.py --out /tmp/bench.json \
+        --compare BENCH_PR2.json                        # PR-over-PR speedups
 
-``--compute`` selects the :mod:`repro.compute` backend the post worker
-runs under (via ``REPRO_COMPUTE``); ``--compare`` prints per-workload
-speedup ratios against a previously committed bench file and exits 2 if
-any shared workload regressed beyond ``REPRO_BENCH_TOLERANCE``.
+``--compare`` prints per-workload speedup ratios against a previously
+committed bench file and exits 2 if any shared workload regressed beyond
+``REPRO_BENCH_TOLERANCE``.
 
 The output records, per workload: the *pre-optimization* baseline
 medians, the *post* medians measured now, and the speedup.  Both sides
@@ -66,11 +65,9 @@ class Worker:
     """A persistent ``tools/bench_worker.py`` subprocess bound to one
     source tree."""
 
-    def __init__(self, src_tree: Path, extra_env=None):
+    def __init__(self, src_tree: Path):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src_tree)
-        if extra_env:
-            env.update(extra_env)
         self.proc = subprocess.Popen(
             [sys.executable, str(REPO_ROOT / "tools" / "bench_worker.py")],
             stdin=subprocess.PIPE,
@@ -106,12 +103,6 @@ def main(argv=None) -> int:
         type=Path,
         default=REPO_ROOT / "BENCH_PR2.json",
         help="where to write the results (default: repo-root BENCH_PR2.json)",
-    )
-    parser.add_argument(
-        "--compute",
-        default=None,
-        help="repro.compute backend for the post measurements (sets "
-        "REPRO_COMPUTE in the post worker, e.g. --compute numpy)",
     )
     parser.add_argument(
         "--compare",
@@ -170,8 +161,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads: {unknown} (have {list(WORKLOADS)})")
 
-    extra_env = {"REPRO_COMPUTE": args.compute} if args.compute else None
-    post_worker = Worker(REPO_ROOT / "src", extra_env=extra_env)
+    post_worker = Worker(REPO_ROOT / "src")
     pre_worker = Worker(args.pre_tree) if args.pre_tree else None
     try:
         ops = {}
@@ -237,8 +227,6 @@ def main(argv=None) -> int:
         "calibration": calibration,
         "ops": ops,
     }
-    if args.compute:
-        payload["compute"] = args.compute
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
 
