@@ -10,7 +10,8 @@ then come back:
 2. 20% packet loss, no repair — whole subtrees go dark;
 3. same seeded loss with the NACK-based reliable transport — every
    member recovers every payload, duplicates are suppressed, and the
-   repair overhead is accounted for;
+   repair overhead (NACKs, retransmissions, the hop-by-hop watermark's
+   heartbeats and acks) is accounted for;
 4. a crashed forwarder — K=4 tables route around it (Section 2.3);
 5. the join protocol under loss — client retries with backoff against
    the idempotent key server.
@@ -87,6 +88,8 @@ print(f"20% + repair  : delivery {outcome.delivery_ratio:.1%}, "
       f"{outcome.duplicates_surfaced} duplicates surfaced, "
       f"{outcome.stats.nacks_sent} NACKs, "
       f"{outcome.stats.retransmissions} retransmissions, "
+      f"{outcome.stats.heartbeats_sent} heartbeats + "
+      f"{outcome.stats.acks_sent} acks, "
       f"overhead {outcome.stats.repair_overhead:.2f}x")
 assert outcome.delivery_ratio == 1.0
 

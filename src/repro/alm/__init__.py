@@ -14,6 +14,7 @@ from .reliable import (
     ReliableOutcome,
     ReliableSession,
     ReliableTmeshNode,
+    TmeshAck,
     TmeshData,
     TmeshHeartbeat,
     TmeshNack,
@@ -27,6 +28,7 @@ __all__ = [
     "ReliableOutcome",
     "ReliableSession",
     "ReliableTmeshNode",
+    "TmeshAck",
     "TmeshData",
     "TmeshHeartbeat",
     "TmeshNack",

@@ -10,10 +10,18 @@ NACK-oriented reliable multicast (NORM, RFC 5740):
   tracks one stream per ``(source, forwarding level)`` — the level at
   which the T-mesh delivers the stream to it — and detects holes from
   the sequence numbers it does see;
-* the source follows the burst with a few **heartbeat / watermark**
-  rounds (NORM's ``CMD(FLUSH)``) carrying the highest sequence number,
-  flooded over the same FORWARD paths, so trailing losses are detected
-  even when no later data packet arrives;
+* every data copy carries its burst's **watermark** (the highest
+  sequence number sent), so one copy of anything reveals all of the
+  burst's holes, trailing ones included;
+* the watermark is **acknowledged hop by hop** (NORM's watermark ACK to
+  ``CMD(FLUSH)``, scaled by the mesh's bounded fan-out): a member acks
+  its upstream the first time a mesh copy shows it a watermark, and each
+  forwarder — the source included — **heartbeats only its own next hops
+  that have not acknowledged**, once per ``heartbeat_interval``, at most
+  ``heartbeat_rounds`` times.  A node that first learns a watermark from
+  a heartbeat relays it at once, so the subtree behind a member that
+  lost every copy learns the burst's extent in one pass; retried per
+  hop, the watermark survives drops that end a flood at its first one;
 * a receiver with holes sends a **selective NACK** (the explicit list of
   missing sequence numbers) to its *upstream* — the neighbor it last
   heard the stream from — after a short reordering grace period, and
@@ -42,9 +50,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core.ids import Id, NULL_ID
+from ..core.ids import Id
 from ..core.neighbor_table import NeighborTable, UserRecord
 from ..faults.plan import FaultPlan
 from ..metrics.faults import RepairStats
@@ -64,20 +73,34 @@ from ..trace import hooks as _trace_hooks
 @dataclass(frozen=True)
 class TmeshData:
     """One payload copy: multicast (first transmission, forwarded by
-    FORWARD) or unicast repair (``retransmit=True``, never forwarded)."""
+    FORWARD) or unicast repair (``retransmit=True``, never forwarded).
+    ``highest_seq`` is the burst's watermark — the source has sent
+    everything up to it — so any one copy reveals every hole."""
 
     source: Id
     source_host: int
     seq: int
     forward_level: int
     payload: Any
+    highest_seq: int
     retransmit: bool = False
 
 
 @dataclass(frozen=True)
+class TmeshAck:
+    """'I know the source has sent everything up to ``highest_seq``',
+    said one hop up: the sender stops heartbeating this next hop, which
+    now answers for its own holes and its own next hops."""
+
+    source: Id
+    highest_seq: int
+
+
+@dataclass(frozen=True)
 class TmeshHeartbeat:
-    """Watermark flood: 'source has sent everything up to
-    ``highest_seq``' — NORM's flush command, forwarded like data."""
+    """The watermark alone, sent by a forwarder to one next hop that has
+    not acknowledged it — NORM's flush command, per hop.  ``round`` is
+    the sender's retry number on that edge (what the trace reports)."""
 
     source: Id
     source_host: int
@@ -109,8 +132,9 @@ class ReliabilityConfig:
     max_upstream_nacks: int = 3
     #: NACKs aimed at the source before giving the hole up
     max_source_nacks: int = 8
-    #: watermark rounds the source sends after the burst
+    #: heartbeats a forwarder spends on one next hop that stays silent
     heartbeat_rounds: int = 12
+    #: wait for an acknowledgement before (re)sending a heartbeat
     heartbeat_interval: float = 50.0
     #: packets per source a node keeps for answering NACKs
     repair_buffer: int = 256
@@ -123,11 +147,22 @@ class ReliabilityConfig:
 
 @dataclass
 class _RepairState:
-    """Per-source hole tracking at one receiver."""
+    """Per-source NACK retry state at one receiver."""
 
-    missing: Set[int] = field(default_factory=set)
     attempts: int = 0
-    event: Optional[object] = None  # pending sim Event, if any
+    event: Optional[object] = None  # pending NACK timer, if any
+
+
+@dataclass
+class _Watch:
+    """One watermark this node answers for: acknowledged upstream, and
+    owed to every next hop below ``level`` until that hop acknowledges."""
+
+    highest: int
+    level: int  # the forwarding level this node relays the stream from
+    acked: Set[int] = field(default_factory=set)  # next-hop hosts
+    rounds: int = 0  # heartbeats spent on each hop still silent
+    event: Optional[object] = None  # pending heartbeat timer, if any
 
 
 class ReliableTmeshNode(TransportNode):
@@ -164,7 +199,7 @@ class ReliableTmeshNode(TransportNode):
         self._upstream: Dict[Id, int] = {}
         self._level: Dict[Id, int] = {}  # (source, forwarding-level) stream
         self._highest: Dict[Id, int] = {}
-        self._hb_seen: Dict[Id, Set[int]] = {}
+        self._watches: Dict[Id, _Watch] = {}
         self._repairs: Dict[Id, _RepairState] = {}
         self._next_seq = 0  # when this node is a source
 
@@ -181,7 +216,7 @@ class ReliableTmeshNode(TransportNode):
 
     def missing_from(self, source: Id) -> List[int]:
         """Sequence numbers known missing (unrepaired holes)."""
-        seen = self._seen.get(source, set())
+        seen = self._seen.get(source, ())
         highest = self._highest.get(source, -1)
         return [s for s in range(highest + 1) if s not in seen]
 
@@ -192,39 +227,23 @@ class ReliableTmeshNode(TransportNode):
         """Multicast ``payloads`` reliably; returns the (first, last)
         sequence numbers used."""
         first = self._next_seq
+        last = first + len(payloads) - 1
         source = self.source_id
         seen = self._seen.setdefault(source, set())
-        for payload in payloads:
-            seq = self._next_seq
-            self._next_seq += 1
-            msg = TmeshData(source, self.host, seq, 0, payload)
+        self._highest[source] = last
+        self._next_seq = last + 1
+        for seq, payload in enumerate(payloads, first):
+            msg = TmeshData(source, self.host, seq, 0, payload, last)
             seen.add(seq)
             self._remember(msg)
-            self._highest[source] = seq
             self._forward(msg)
-        last = self._next_seq - 1
         if self.config.repair_enabled:
-            for rnd in range(self.config.heartbeat_rounds):
-                self.scheduler.schedule(
-                    (rnd + 1) * self.config.heartbeat_interval,
-                    lambda rnd=rnd, last=last: self._emit_heartbeat(rnd, last),
-                )
+            self._watch_next_hops(source, self.host, last, 0, relay=False)
         return first, last
-
-    def _emit_heartbeat(self, rnd: int, highest: int) -> None:
-        hb = TmeshHeartbeat(self.source_id, self.host, highest, 0, rnd)
-        self._hb_seen.setdefault(self.source_id, set()).add(rnd)
-        self._flood(hb)
 
     # ------------------------------------------------------------------
     # FORWARD (Fig. 2) over the live network
     # ------------------------------------------------------------------
-    def _rows(self, level: int) -> range:
-        num_digits = self.table.scheme.num_digits
-        if self.table.is_server_table:
-            return range(0, 1) if level == 0 else range(0, 0)
-        return range(level, num_digits)
-
     def _next_hop(self, i: int, j: int, primary: UserRecord) -> Optional[UserRecord]:
         """The (i,j)-primary, or — when it is known down and backups are
         on — the closest live neighbor of the same entry (Section 2.3)."""
@@ -235,41 +254,105 @@ class ReliableTmeshNode(TransportNode):
             None,
         )
 
-    def _forward(self, msg: TmeshData) -> None:
-        for i in self._rows(msg.forward_level):
-            for j, primary in self.table.row_primaries(i):
-                nbr = self._next_hop(i, j, primary)
-                if nbr is None:
-                    continue
-                self.stats.data_sent += 1
-                self.send(
-                    nbr.host,
-                    TmeshData(
-                        msg.source,
-                        msg.source_host,
-                        msg.seq,
-                        i + 1,
-                        msg.payload,
-                    ),
-                )
+    def _next_hops(self, level: int) -> Iterator[Tuple[int, List[int]]]:
+        """What FORWARD sends to from forwarding level ``level``: per
+        row, the level its copies carry and the hosts they go to."""
+        if self.table.is_server_table:
+            rows = range(0, 1 if level == 0 else 0)
+        else:
+            rows = range(level, self.table.scheme.num_digits)
+        for i in rows:
+            hosts = [
+                nbr.host
+                for j, primary in self.table.row_primaries(i)
+                if (nbr := self._next_hop(i, j, primary)) is not None
+            ]
+            if hosts:
+                yield i + 1, hosts
 
-    def _flood(self, hb: TmeshHeartbeat) -> None:
-        for i in self._rows(hb.forward_level):
-            for j, primary in self.table.row_primaries(i):
-                nbr = self._next_hop(i, j, primary)
-                if nbr is None:
-                    continue
-                self.stats.heartbeats_sent += 1
-                self.send(
-                    nbr.host,
-                    TmeshHeartbeat(
-                        hb.source,
-                        hb.source_host,
-                        hb.highest_seq,
-                        i + 1,
-                        hb.round,
-                    ),
-                )
+    def _forward(self, msg: TmeshData) -> None:
+        for level, hosts in self._next_hops(msg.forward_level):
+            copy = TmeshData(
+                msg.source, msg.source_host, msg.seq, level, msg.payload, msg.highest_seq
+            )
+            self.stats.data_sent += len(hosts)
+            for host in hosts:
+                self.send(host, copy)
+
+    # ------------------------------------------------------------------
+    # Watermark: acknowledged hop by hop
+    # ------------------------------------------------------------------
+    def _watch_next_hops(
+        self, source: Id, source_host: int, highest: int, level: int, relay: bool
+    ) -> None:
+        """Answer for watermark ``highest`` below this node: each next
+        hop is heartbeated until it acknowledges or the per-hop budget
+        is spent.  ``relay`` sends the first heartbeat now — the
+        watermark came by heartbeat, so no data copy carries it down."""
+        old = self._watches.get(source)
+        if old is not None and old.event is not None:
+            old.event.cancel()
+        watch = self._watches[source] = _Watch(highest, level)
+        if relay:
+            self._watch_round(source, source_host, watch)
+        else:
+            hops = [h for _, hosts in self._next_hops(level) for h in hosts]
+            self._await_acks(source, source_host, watch, hops)
+
+    def _await_acks(
+        self, source: Id, source_host: int, watch: _Watch, hops: List[int]
+    ) -> None:
+        """Look at ``hops`` again once the farthest one's acknowledgement
+        is ``heartbeat_interval`` overdue: its round trip (the RTT this
+        node measured when it took the neighbor into its table) comes
+        first, or every edge longer than the interval would be
+        heartbeated in a session that lost nothing."""
+        if hops:
+            rtt = self.transport.topology.rtt
+            watch.event = self.scheduler.schedule(
+                self.config.heartbeat_interval + max(rtt(self.host, h) for h in hops),
+                partial(self._watch_round, source, source_host, watch),
+            )
+
+    def _watch_round(self, source: Id, source_host: int, watch: _Watch) -> None:
+        """Heartbeat the next hops still silent, then wait for their
+        acknowledgements again.  Hops are resolved afresh, so a backup
+        takes over the edge of a primary that died meanwhile."""
+        watch.event = None
+        unacked = [
+            (host, below)
+            for below, hosts in self._next_hops(watch.level)
+            for host in hosts
+            if host not in watch.acked
+        ]
+        if not unacked:
+            return
+        spent = watch.rounds >= self.config.heartbeat_rounds
+        # One slot read per *heartbeat round* — rounds only fire where an
+        # acknowledgement is overdue, never on the fault-free path.
+        tctx = _trace_hooks.ACTIVE
+        if tctx is not None:
+            tctx.event(
+                "reliable.watermark_unacked" if spent else "reliable.watermark_round",
+                source=str(source),
+                hop_host=self.host,
+                round=watch.rounds,
+                unacked=",".join(str(host) for host, _ in unacked),
+                time_ms=self.scheduler.now,
+            )
+            tctx.registry.inc(
+                "reliable.watermarks_unacked" if spent else "reliable.watermark_rounds"
+            )
+        if spent:
+            return  # the budget ran out on these edges; the record says so
+        self.stats.heartbeats_sent += len(unacked)
+        for host, below in unacked:
+            self.send(
+                host,
+                TmeshHeartbeat(source, source_host, watch.highest, below, watch.rounds),
+            )
+        watch.rounds += 1
+        self._await_acks(source, source_host, watch, [host for host, _ in unacked])
 
     # ------------------------------------------------------------------
     # Receive paths
@@ -277,10 +360,14 @@ class ReliableTmeshNode(TransportNode):
     def on_message(self, src: int, payload: Any) -> None:
         if isinstance(payload, TmeshData):
             self._on_data(src, payload)
-        elif isinstance(payload, TmeshHeartbeat):
-            self._on_heartbeat(src, payload)
+        elif isinstance(payload, TmeshAck):
+            watch = self._watches.get(payload.source)
+            if watch is not None and payload.highest_seq >= watch.highest:
+                watch.acked.add(src)
         elif isinstance(payload, TmeshNack):
             self._on_nack(src, payload)
+        elif isinstance(payload, TmeshHeartbeat):
+            self._on_heartbeat(src, payload)
 
     def _on_data(self, src: int, msg: TmeshData) -> None:
         source = msg.source
@@ -298,6 +385,17 @@ class ReliableTmeshNode(TransportNode):
             # (source, forwarding-level) stream; repairs do not.
             self._level.setdefault(source, msg.forward_level)
             self._forward(msg)
+            watch = self._watches.get(source)
+            if (
+                watch is None or msg.highest_seq > watch.highest
+            ) and self.config.repair_enabled:
+                # The first mesh copy to show a watermark: tell the
+                # upstream it arrived, and answer for it downstream.
+                self.stats.acks_sent += 1
+                self.send(src, TmeshAck(source, msg.highest_seq))
+                self._watch_next_hops(
+                    source, msg.source_host, msg.highest_seq, msg.forward_level, relay=False
+                )
         else:
             # A repaired hole heals the subtree: re-forward it once over
             # this node's own rows, as if it had arrived on the mesh.
@@ -306,21 +404,25 @@ class ReliableTmeshNode(TransportNode):
             if level is not None:
                 self._forward(
                     TmeshData(
-                        source, msg.source_host, msg.seq, level, msg.payload
+                        source, msg.source_host, msg.seq, level, msg.payload, msg.highest_seq
                     )
                 )
-        self._note_highest(source, msg.source_host, msg.seq)
+        self._note_highest(source, msg.source_host, msg.highest_seq)
 
     def _on_heartbeat(self, src: int, hb: TmeshHeartbeat) -> None:
         source = hb.source
         self._upstream.setdefault(source, src)
         # A node that only ever hears heartbeats still learns its stream
         # level, so it can re-forward repaired packets downstream.
-        self._level.setdefault(source, hb.forward_level)
-        rounds = self._hb_seen.setdefault(source, set())
-        if hb.round not in rounds:
-            rounds.add(hb.round)
-            self._flood(hb)
+        level = self._level.setdefault(source, hb.forward_level)
+        self.stats.acks_sent += 1
+        self.send(src, TmeshAck(source, hb.highest_seq))
+        watch = self._watches.get(source)
+        if watch is None or hb.highest_seq > watch.highest:
+            # News to this node, so news to everything below it.
+            self._watch_next_hops(
+                source, hb.source_host, hb.highest_seq, level, relay=True
+            )
         self._note_highest(source, hb.source_host, hb.highest_seq)
 
     def _on_nack(self, src: int, nack: TmeshNack) -> None:
@@ -340,6 +442,7 @@ class ReliableTmeshNode(TransportNode):
                         held.seq,
                         self.table.scheme.num_digits,
                         held.payload,
+                        held.highest_seq,
                         retransmit=True,
                     ),
                 )
@@ -358,73 +461,67 @@ class ReliableTmeshNode(TransportNode):
             buffer.popitem(last=False)
 
     def _note_highest(self, source: Id, source_host: int, seq: int) -> None:
-        previous = self._highest.get(source, -1)
-        if seq > previous:
-            self._highest[source] = seq
+        highest = self._highest.get(source, -1)
+        if seq > highest:
+            highest = self._highest[source] = seq
         if not self.config.repair_enabled or source == self.source_id:
             return
-        seen = self._seen.setdefault(source, set())
-        holes = {
-            s for s in range(self._highest[source] + 1) if s not in seen
-        }
-        if not holes:
-            return
-        state = self._repairs.setdefault(source, _RepairState())
-        state.missing |= holes
-        self._schedule_nack(source, source_host, self.config.nack_delay)
-
-    def _schedule_nack(self, source: Id, source_host: int, delay: float) -> None:
-        state = self._repairs[source]
-        if state.event is not None:
-            return  # a NACK round is already pending
-
-        def fire() -> None:
-            state.event = None
-            seen = self._seen.get(source, set())
-            state.missing -= seen
-            if not state.missing:
+        state = self._repairs.get(source)
+        # Everything seen is <= highest, so a full count means no hole.
+        if len(self._seen.get(source, ())) > highest:
+            if state is not None and state.event is not None:
+                # The last hole just filled: the armed retry has nothing
+                # left to ask for and must not hold the session open.
+                state.event.cancel()
+                state.event = None
                 state.attempts = 0
-                return
-            budget = self.config.max_upstream_nacks + self.config.max_source_nacks
-            if state.attempts >= budget:
-                self.stats.gave_up += len(state.missing)
-                state.missing.clear()
-                return
-            if (
-                state.attempts < self.config.max_upstream_nacks
-                and source in self._upstream
-            ):
-                target = self._upstream[source]
-                target_kind = "upstream"
-            else:
-                target = source_host
-                target_kind = "source"
-                self.stats.source_repairs += 1
-            self.stats.nacks_sent += 1
-            # One slot read per *repair round* — rounds only fire under
-            # losses, so the fault-free path never reaches this.
-            tctx = _trace_hooks.ACTIVE
-            if tctx is not None:
-                tctx.event(
-                    "reliable.nack_round",
-                    source=str(source),
-                    requester_host=self.host,
-                    attempt=state.attempts,
-                    missing=len(state.missing),
-                    target=target_kind,
-                    time_ms=self.scheduler.now,
-                )
-                tctx.registry.inc("reliable.nack_rounds")
-            self.send(
-                target, TmeshNack(source, source_host, tuple(sorted(state.missing)))
+            return
+        if state is None:
+            state = self._repairs[source] = _RepairState()
+        if state.event is None:  # else a NACK round is already pending
+            state.event = self.scheduler.schedule(
+                self.config.nack_delay,
+                partial(self._nack_round, source, source_host, state),
             )
-            state.attempts += 1
-            retry = self.config.rto * (
-                self.config.backoff ** min(state.attempts - 1, 6)
-            )
-            self._schedule_nack(source, source_host, retry)
 
-        state.event = self.scheduler.schedule(delay, fire)
+    def _nack_round(self, source: Id, source_host: int, state: _RepairState) -> None:
+        seen = self._seen.get(source, ())
+        missing = tuple(
+            s for s in range(self._highest[source] + 1) if s not in seen
+        )
+        config = self.config
+        if state.attempts >= config.max_upstream_nacks + config.max_source_nacks:
+            state.event = None
+            self.stats.gave_up += len(missing)
+            return
+        if state.attempts < config.max_upstream_nacks and source in self._upstream:
+            target = self._upstream[source]
+            target_kind = "upstream"
+        else:
+            target = source_host
+            target_kind = "source"
+            self.stats.source_repairs += 1
+        self.stats.nacks_sent += 1
+        # One slot read per *repair round* — rounds only fire under
+        # losses, so the fault-free path never reaches this.
+        tctx = _trace_hooks.ACTIVE
+        if tctx is not None:
+            tctx.event(
+                "reliable.nack_round",
+                source=str(source),
+                requester_host=self.host,
+                attempt=state.attempts,
+                missing=len(missing),
+                target=target_kind,
+                time_ms=self.scheduler.now,
+            )
+            tctx.registry.inc("reliable.nack_rounds")
+        self.send(target, TmeshNack(source, source_host, missing))
+        state.attempts += 1
+        state.event = self.scheduler.schedule(
+            config.rto * config.backoff ** min(state.attempts - 1, 6),
+            partial(self._nack_round, source, source_host, state),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -518,16 +615,6 @@ class ReliableSession:
         self.server = ReliableTmeshNode(
             self.transport, server_table.owner, server_table, self.config, down_check
         )
-
-    @property
-    def simulator(self):
-        """Backward-compatible alias for the session's scheduler."""
-        return self.scheduler
-
-    @property
-    def network(self) -> Transport:
-        """Backward-compatible alias for the session's transport."""
-        return self.transport
 
     def multicast(
         self,

@@ -224,6 +224,8 @@ class FaultPlan:
         return tuple(self._crashes)
 
     def is_down(self, host: int, time: float) -> bool:
+        if not self._crashes:  # asked three times per send
+            return False
         return any(w.host == host and w.covers(time) for w in self._crashes)
 
     def apply(

@@ -3,8 +3,8 @@
 :class:`RepairStats` is the counter block the NACK transport
 (:mod:`repro.alm.reliable`) and the fault-injection benchmarks emit: how
 many payload copies moved, how many were suppressed as duplicates, and
-what the repair machinery (NACKs, retransmissions, heartbeats) cost on
-top.  ``repair_overhead`` is the benchmarks' headline figure: repair
+what the repair machinery (NACKs, retransmissions, watermark heartbeats
+and their acknowledgements) cost on top.  ``repair_overhead`` is the benchmarks' headline figure: repair
 messages per payload-carrying message.
 """
 
@@ -29,8 +29,10 @@ class RepairStats:
     retransmissions: int = 0
     #: direct-to-source repair requests after upstream repair failed
     source_repairs: int = 0
-    #: heartbeat/watermark messages sent or forwarded
+    #: watermark heartbeats sent to next hops that had not acknowledged
     heartbeats_sent: int = 0
+    #: watermark acknowledgements sent one hop up
+    acks_sent: int = 0
     #: (source, seq) holes abandoned after the retry budget ran out
     gave_up: int = 0
 
@@ -50,7 +52,12 @@ class RepairStats:
     @property
     def repair_messages(self) -> int:
         """Messages that exist only because of the repair protocol."""
-        return self.nacks_sent + self.retransmissions + self.heartbeats_sent
+        return (
+            self.nacks_sent
+            + self.retransmissions
+            + self.heartbeats_sent
+            + self.acks_sent
+        )
 
     @property
     def repair_overhead(self) -> float:

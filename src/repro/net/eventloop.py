@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+import math
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,15 +47,13 @@ from .scheduling import SchedulingBackend, Transport, register_backend
 
 
 class TimerHandle:
-    """One pending callback; orders by ``(when, sequence)`` so
-    simultaneous timers keep FIFO order.  ``cancel()`` tombstones the
-    heap entry (asyncio's handle contract)."""
+    """One pending callback, due at ``when``.  ``cancel()`` tombstones
+    its heap entry (asyncio's handle contract)."""
 
-    __slots__ = ("when", "seq", "_callback", "_cancelled")
+    __slots__ = ("when", "_callback", "_cancelled")
 
-    def __init__(self, when: float, seq: int, callback: Callable[[], None]):
+    def __init__(self, when: float, callback: Callable[[], None]):
         self.when = when
-        self.seq = seq
         self._callback = callback
         self._cancelled = False
 
@@ -63,9 +62,6 @@ class TimerHandle:
 
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def __lt__(self, other: "TimerHandle") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
 
 
 class EventLoop:
@@ -78,7 +74,9 @@ class EventLoop:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0.0
-        self._heap: List[TimerHandle] = []
+        #: ``(when, sequence, handle)`` — tuples order without a Python
+        #: ``__lt__``; the sequence number keeps simultaneous timers FIFO
+        self._heap: List[Tuple[float, int, TimerHandle]] = []
         self._seq = itertools.count()
         self.events_processed = 0
         #: backend-local randomness, a deterministic function of ``seed``
@@ -102,17 +100,18 @@ class EventLoop:
             raise ValueError(
                 f"cannot schedule at {time}, current time is {self.now}"
             )
-        handle = TimerHandle(time, next(self._seq), action)
-        heapq.heappush(self._heap, handle)
+        handle = TimerHandle(time, action)
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def step(self) -> bool:
         """Run the next pending timer; False when the queue is empty."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            when, _, handle = heapq.heappop(heap)
             if handle._cancelled:
                 continue
-            self.now = handle.when
+            self.now = when
             self.events_processed += 1
             handle._callback()
             return True
@@ -143,25 +142,30 @@ class EventLoop:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
+        heap = self._heap
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            head = self._heap[0]
-            if head._cancelled:
-                heapq.heappop(self._heap)
+        while heap and executed < budget:
+            when, _, handle = heap[0]
+            if handle._cancelled:
+                heappop(heap)
                 continue
-            if until is not None and head.when > until:
+            if when > horizon:
                 break
-            self.step()
+            heappop(heap)
+            self.now = when
+            self.events_processed += 1
             executed += 1
-        if until is not None and (not self._heap or self._heap[0].when > until):
+            handle._callback()
+        if until is not None and (not heap or heap[0][0] > until):
             self.now = max(self.now, until)
         return executed
 
     @property
     def pending(self) -> int:
-        return sum(1 for h in self._heap if not h._cancelled)
+        return sum(1 for entry in self._heap if not entry[2]._cancelled)
 
     # ------------------------------------------------------------------
     # asyncio-compatible spellings

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -173,10 +174,7 @@ class Transport:
                 self.stats.dropped += 1
                 return
         delay = self.topology.one_way_delay(src, dst)
-
-        def deliver() -> None:
-            self._dispatch(src, dst, payload, plan)
-
+        deliver = partial(self._dispatch, src, dst, payload, plan)
         for extra in extra_delays:
             self.scheduler.schedule(delay + extra, deliver)
 

@@ -188,9 +188,10 @@ class AsyncioScheduler(EventLoop):
     # Internals
     # ------------------------------------------------------------------
     def _peek(self) -> Optional[TimerHandle]:
-        while self._heap and self._heap[0]._cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heapq.heappop(heap)
+        return heap[0][2] if heap else None
 
     def _fire(self, handle: TimerHandle) -> None:
         if self.realtime and self._loop is not None and self._wall_start is not None:

@@ -239,6 +239,7 @@ class TraceContext:
         registry.inc("reliable.retransmissions", stats.retransmissions)
         registry.inc("reliable.source_repairs", stats.source_repairs)
         registry.inc("reliable.heartbeats_sent", stats.heartbeats_sent)
+        registry.inc("reliable.acks_sent", stats.acks_sent)
         registry.inc("reliable.gave_up", stats.gave_up)
 
     def observe_batch_rekey(self, interval: int, joins: Sequence, leaves: Sequence,

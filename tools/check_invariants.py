@@ -32,6 +32,19 @@ against Section 2.4):
                         own canary: a key tree that keeps the individual
                         key of a reused ID (the forward-secrecy break
                         fixed in PR 17) MUST trip the check.
+* ``lossy-repair``    — reliable rekey transport (``alm.reliable``) at
+                        256 members through 5 % and 20 % seeded loss:
+                        no duplicate ever surfaces; at 5 % every member
+                        completes and nothing is given up; at 20 % no
+                        more members end short than the flooded
+                        heartbeat left on the same seed, and none
+                        silently; watermark traffic (heartbeats + acks)
+                        stays within 2 x members (3 x at 20 %); two runs
+                        agree on one outcome digest.  Includes its own canary: with
+                        every acknowledgement swallowed the traffic
+                        bound MUST trip, while heartbeats stop at
+                        ``heartbeat_rounds`` per edge and the queue
+                        drains.
 * ``sharded-scale``   — the 10k rung of the scale ladder under full
                         verification: the dense object path (trie-derived
                         tables, differential oracle included) against the
@@ -369,6 +382,128 @@ def scenario_secure_close(seed: int, users: int) -> str:
             f"({len(canary_problems)} findings)")
 
 
+#: ``members_short`` summed over the scenario's 20 % sessions at the
+#: default seed on the commit before the acknowledged watermark (the
+#: source flooded 12 blind heartbeats); the bound the scenario holds.
+_FLOODED_SHORT_AT_20 = {7: 1}
+
+
+def scenario_lossy_repair(seed: int, users: int) -> str:
+    import hashlib
+    import pickle
+
+    from repro.alm.reliable import ReliabilityConfig, ReliableSession, TmeshAck
+    from repro.experiments.common import build_group, build_topology
+    from repro.experiments.config import SMALL_GTITM
+    from repro.faults import FaultPlan
+    from repro.verify.report import ViolationReport
+
+    def violation(checker: str, detail: str) -> InvariantViolation:
+        return InvariantViolation(
+            [
+                ViolationReport(
+                    checker=checker,
+                    citation="Theorem 1 under loss (docs/FAULTS.md section 2)",
+                    detail=detail,
+                    seed=seed,
+                    repro="PYTHONPATH=src python tools/check_invariants.py "
+                    f"--only lossy-repair --seed {seed}",
+                )
+            ]
+        )
+
+    members, sessions = 256, 6
+    topology = build_topology(
+        "gtitm", members + 1, seed=seed, gtitm_params=SMALL_GTITM
+    )
+    group = build_group(topology, members, seed=seed)
+
+    def run(index: int, plan: FaultPlan):
+        # odd sessions carry one payload: nothing later to see a hole by
+        payloads = [f"rekey-{i}".encode() for i in range(8 if index % 2 == 0 else 1)]
+        session = ReliableSession(group.tables, group.server_table, topology, plan=plan)
+        outcome = session.multicast(payloads)
+        if session.scheduler.pending:
+            raise violation("lossy-repair", f"session {index}: queue not drained")
+        return outcome
+
+    # Watermark messages per member.  Loss-free it is 1 (the ack); a lone
+    # payload at 20 % loss loses every fifth copy and every fifth ack, each
+    # costing a heartbeat and a second ack: about 2.2, measured.
+    allowance = {0.05: 2, 0.20: 3}
+
+    def sweep():
+        problems, digest, short_at_20 = [], hashlib.sha256(), 0
+        for rate in allowance:
+            for index in range(sessions):
+                where = f"{rate:.0%} loss, session {index}"
+                outcome = run(index, FaultPlan(seed=seed * 100 + index).drop(rate))
+                stats, short = outcome.stats, outcome.members_short()
+                digest.update(
+                    pickle.dumps(
+                        (outcome.delivered, outcome.missing, stats.as_row()), protocol=4
+                    )
+                )
+                if outcome.duplicates_surfaced:
+                    problems.append(
+                        f"{where}: {outcome.duplicates_surfaced} duplicates surfaced"
+                    )
+                if stats.heartbeats_sent + stats.acks_sent > allowance[rate] * members:
+                    problems.append(
+                        f"{where}: {stats.heartbeats_sent} heartbeats + "
+                        f"{stats.acks_sent} acks > {allowance[rate]} x {members} members"
+                    )
+                silent = [
+                    uid for uid in short if not outcome.per_node[uid].gave_up
+                ]
+                if silent:
+                    problems.append(
+                        f"{where}: {len(silent)} members short without a give-up"
+                    )
+                if rate == 0.05 and (short or stats.gave_up):
+                    problems.append(
+                        f"{where}: {len(short)} short, {stats.gave_up} given up"
+                    )
+                if rate == 0.20:
+                    short_at_20 += len(short)
+        return problems, digest.hexdigest(), short_at_20
+
+    problems, digest, short_at_20 = sweep()
+    flooded = _FLOODED_SHORT_AT_20.get(seed)
+    if flooded is not None and short_at_20 > flooded:
+        problems.append(
+            f"20% loss: {short_at_20} members short, the flooded heartbeat "
+            f"left {flooded}"
+        )
+    if problems:
+        raise violation("lossy-repair", "; ".join(problems[:4]))
+    if sweep()[1] != digest:
+        raise violation("lossy-repair", "two runs disagree on the outcome digest")
+
+    # Canary: swallow every acknowledgement.  The traffic bound above must
+    # trip, or it checks nothing; the per-hop budget must still hold.
+    rounds = ReliabilityConfig().heartbeat_rounds
+    swallowed = FaultPlan(seed=seed).drop(
+        1.0, match=lambda src, dst, payload: isinstance(payload, TmeshAck)
+    )
+    stats = run(0, swallowed).stats
+    if stats.heartbeats_sent + stats.acks_sent <= max(allowance.values()) * members:
+        raise violation(
+            "lossy-repair-canary",
+            "every ack swallowed, yet watermark traffic stayed within bound",
+        )
+    if stats.heartbeats_sent != rounds * members:
+        raise violation(
+            "lossy-repair-canary",
+            f"{stats.heartbeats_sent} heartbeats with every ack swallowed; the "
+            f"budget is {rounds} rounds x {members} edges",
+        )
+    return (f"{2 * sessions} sessions at 5% / 20% loss, 0 duplicates, "
+            f"{short_at_20} short at 20% (flooded: {flooded}), digest "
+            f"{digest[:12]}...; canary tripped ({stats.heartbeats_sent} "
+            f"heartbeats = {rounds} rounds x {members} edges, queue drained)")
+
+
 def scenario_sharded_scale(seed: int, users: int) -> str:
     """The 10k rung of the scale ladder under full verification
     (docs/PERFORMANCE.md, "Scale ladder").
@@ -480,6 +615,7 @@ SCENARIOS = [
     ("traced-rekey", scenario_traced_rekey, False),
     ("split-definition", scenario_split_definition, False),
     ("secure-close", scenario_secure_close, False),
+    ("lossy-repair", scenario_lossy_repair, False),
     ("sharded-scale", scenario_sharded_scale, False),
     ("corruption-canary", scenario_corruption_canary, True),
 ]
