@@ -9,9 +9,22 @@ the *shape* assertions plus the rendered rows recorded in
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import current_scale
+from repro.perf.workloads import calibrate
+
+#: The committed kernel baseline, written by ``tools/perf_baseline.py``.
+BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH.json"
+
+#: Allowed fractional regression per guarded field.  Timing is loose
+#: because the ambient noise floor on shared hosts is about ±35 % even
+#: for best-of-N while the guarded speed-ups are 3x-500x; memory is
+#: structural (per-member Python objects turn tens of MB into GB).
+TOLERANCE = {"median_ms": 0.75, "peak_rss_bytes": 0.5}
 
 _CAPTURE_MANAGER = None
 
@@ -31,6 +44,32 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def scale():
     return current_scale()
+
+
+@pytest.fixture(scope="session")
+def calibration_ms():
+    """This process's calibration spin, timed once per session."""
+    return calibrate()["median_ms"]
+
+
+def committed(name: str) -> dict:
+    """The ``BENCH.json`` entry of workload ``name``; skips when absent."""
+    if not BENCH_FILE.exists():
+        pytest.skip(f"{BENCH_FILE.name} not committed; run tools/perf_baseline.py")
+    entry = json.loads(BENCH_FILE.read_text())["ops"].get(name)
+    if entry is None:
+        pytest.skip(f"no committed {BENCH_FILE.name} entry for {name}")
+    return entry
+
+
+def limit(entry: dict, field: str, calibration_ms: float = 0.0) -> float:
+    """The one guard rule: committed value x machine scale x (1 +
+    tolerance).  The machine scale is how much slower this process's
+    calibration is than the one stored with *this* entry, floored at 1.0
+    so fast machines do not tighten the limit; memory passes no
+    calibration and is not scaled."""
+    scale = max(1.0, calibration_ms / entry["calibration_ms"])
+    return entry[field] * scale * (1.0 + TOLERANCE[field])
 
 
 def run_once(benchmark, fn, *args, **kwargs):

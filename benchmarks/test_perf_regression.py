@@ -2,52 +2,26 @@
 
 Re-times every *micro* workload from :mod:`repro.perf.workloads` with the
 same methodology as ``tools/perf_baseline.py`` and fails when its
-**best-of-N** time regresses more than the tolerance (default 75%)
-against the ``post`` medians committed in ``BENCH_PR2.json``.  The
-minimum is compared (rather than the median) because shared hosts
-suffer multi-tens-of-percent ambient load spikes that inflate medians
-but rarely every repetition; a genuine code regression raises the
-minimum too.
-
-The default tolerance is deliberately loose: the ambient noise floor
-on shared hosts measures around ±35% even for best-of-N, while the
-optimizations this lane guards are 3x-500x — losing one shows up far
-past any plausible tolerance.  Tighten ``REPRO_BENCH_TOLERANCE`` on
-quiet dedicated hardware.
+**best-of-N** time exceeds :func:`benchmarks.conftest.limit` of the
+median committed in ``BENCH.json`` (+75 %, scaled by the entry's own
+calibration).  The minimum is compared rather than the median because
+shared hosts suffer ambient load spikes that inflate medians but rarely
+every repetition; a genuine code regression raises the minimum too.
 
 Run with the bench lane::
 
     PYTHONPATH=src pytest benchmarks/test_perf_regression.py -m bench
 
-Knobs:
-
-* ``REPRO_BENCH_TOLERANCE`` — allowed fractional regression (default
-  ``0.75``); raise it on machines much slower than the one that produced
-  the committed numbers, lower it on quiet dedicated hardware.
-* refresh the committed numbers with
-  ``PYTHONPATH=src python tools/perf_baseline.py`` after intentional
-  changes.
+Refresh the committed numbers with ``python tools/perf_baseline.py``
+after intentional changes.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.perf.workloads import WORKLOADS, calibrate, measure
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
-TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.75"))
-
-
-def _committed():
-    if not BENCH_FILE.exists():
-        pytest.skip(f"{BENCH_FILE.name} not committed; run tools/perf_baseline.py")
-    return json.loads(BENCH_FILE.read_text())
-
+from benchmarks.conftest import committed, limit
+from repro.perf.workloads import WORKLOADS, measure
 
 MICRO_NAMES = [name for name, w in WORKLOADS.items() if w.micro]
 
@@ -57,36 +31,39 @@ def shared_ctx():
     return {}
 
 
-@pytest.fixture(scope="module")
-def machine_scale():
-    """How much slower this process is than the machine/moment that
-    produced the committed medians, per the calibration spin stored in
-    BENCH_PR2.json.  Floored at 1.0 so fast machines don't tighten the
-    committed limits."""
-    committed = _committed()
-    reference = committed.get("calibration")
-    if not reference:
-        return 1.0
-    now = calibrate()
-    return max(1.0, now["median_ms"] / reference["median_ms"])
-
-
 @pytest.mark.parametrize("name", MICRO_NAMES)
-def test_micro_workload_not_regressed(name, shared_ctx, machine_scale):
-    entry = _committed()["ops"].get(name)
-    if not entry or not entry.get("post"):
-        pytest.skip(f"no committed post median for {name}")
-    committed_ms = entry["post"]["median_ms"]
-
+def test_micro_workload_not_regressed(name, shared_ctx, calibration_ms):
+    entry = committed(name)
     workload = WORKLOADS[name]
     fn = workload.setup(shared_ctx)
     fn()  # warm caches the same way the baseline driver does
     now_ms = measure(fn, workload.repeats)["min_ms"]
 
-    limit = committed_ms * machine_scale * (1.0 + TOLERANCE)
-    assert now_ms <= limit, (
+    bound = limit(entry, "median_ms", calibration_ms)
+    assert now_ms <= bound, (
         f"{name} regressed: best-of-{workload.repeats} {now_ms:.3f} ms vs "
-        f"committed median {committed_ms:.3f} ms (machine scale "
-        f"{machine_scale:.2f}, +{TOLERANCE:.0%} tolerance = {limit:.3f} ms); "
+        f"committed median {entry['median_ms']:.3f} ms (limit {bound:.3f} ms); "
         f"if intentional, refresh with tools/perf_baseline.py"
+    )
+
+
+def test_user_stress_index_beats_scan(shared_ctx):
+    """The src-indexed ``user_stress`` sweep is O(E) where the reference
+    scan is O(U x E): at 1024 members the index must win by more than 5x
+    (the gap is about three orders of magnitude; equality of the two is
+    ``tests/test_perf_equivalence.py``'s job)."""
+    from repro.core.tmesh import rekey_session
+    from repro.perf.workloads import _group
+
+    topology, group = _group(shared_ctx, 1024)
+    session = rekey_session(group.server_table, group.tables, topology)
+    members = list(session.receipts)
+    indexed_ms = measure(
+        lambda: [session.user_stress(m) for m in members], 3
+    )["min_ms"]
+    scan_ms = measure(
+        lambda: [session.user_stress_scan(m) for m in members], 1
+    )["min_ms"]
+    assert scan_ms > 5 * indexed_ms, (
+        f"index no faster than scan: {indexed_ms:.3f} ms vs {scan_ms:.3f} ms"
     )

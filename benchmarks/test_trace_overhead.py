@@ -4,20 +4,18 @@ Two contracts:
 
 * **off = free** — with no :class:`~repro.trace.TraceContext` installed,
   the instrumented ``rekey_session`` at the paper's headline 1024 users
-  must stay within the ordinary perf-regression envelope of the ``post``
-  medians committed in ``BENCH_PR2.json``: the hooks are a single
-  module-slot read per session, so disabling tracing costs nothing
-  measurable.
+  must stay within the ordinary perf-regression envelope
+  (:func:`benchmarks.conftest.limit`) of the median committed in
+  ``BENCH.json``: the hooks are a single module-slot read per session,
+  so disabling tracing costs nothing measurable.
 * **on = bounded** — with tracing installed (hop spans and histograms
   included, the worst case) the same workload must stay within a
   documented multiple of its untraced time, measured back-to-back in
   this process so machine speed cancels out.
 
-Methodology matches ``benchmarks/test_perf_regression.py``: best-of-N
-minima, the calibration-based machine scale, and the
-``REPRO_BENCH_TOLERANCE`` knob.  The enabled-path bound has its own knob,
-``REPRO_TRACE_OVERHEAD`` (default 2.5x), because span construction is
-real work — the bound documents it instead of pretending it away.
+The enabled-path bound has its own knob, ``REPRO_TRACE_OVERHEAD``
+(default 2.5x), because span construction is real work — the bound
+documents it instead of pretending it away.
 
 Run with the bench lane::
 
@@ -26,17 +24,14 @@ Run with the bench lane::
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.perf.workloads import WORKLOADS, calibrate, measure
+from benchmarks.conftest import committed, limit
+from repro.perf.workloads import WORKLOADS, measure
 from repro.trace import TraceContext, hooks, tracing
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
-TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.75"))
 #: Allowed slowdown of rekey@1024 with full tracing (hop spans +
 #: histograms) vs untraced, measured back to back.  Documented in
 #: docs/OBSERVABILITY.md; loose because span dicts for 1024 receipts are
@@ -46,12 +41,6 @@ TRACE_OVERHEAD = float(os.environ.get("REPRO_TRACE_OVERHEAD", "2.5"))
 WORKLOAD = WORKLOADS["rekey_session_1024"]
 
 
-def _committed():
-    if not BENCH_FILE.exists():
-        pytest.skip(f"{BENCH_FILE.name} not committed; run tools/perf_baseline.py")
-    return json.loads(BENCH_FILE.read_text())
-
-
 @pytest.fixture(scope="module")
 def rekey_fn():
     fn = WORKLOAD.setup({})
@@ -59,31 +48,19 @@ def rekey_fn():
     return fn
 
 
-@pytest.fixture(scope="module")
-def machine_scale():
-    committed = _committed()
-    reference = committed.get("calibration")
-    if not reference:
-        return 1.0
-    now = calibrate()
-    return max(1.0, now["median_ms"] / reference["median_ms"])
-
-
-def test_tracing_off_is_free(rekey_fn, machine_scale):
+def test_tracing_off_is_free(rekey_fn, calibration_ms):
     """With the slot empty, instrumented rekey@1024 stays within the
     committed perf envelope — the observability layer costs nothing when
     off."""
     assert hooks.ACTIVE is None  # the contract under test
-    entry = _committed()["ops"]["rekey_session_1024"]
-    committed_ms = entry["post"]["median_ms"]
+    entry = committed(WORKLOAD.name)
     now_ms = measure(rekey_fn, WORKLOAD.repeats)["min_ms"]
-    limit = committed_ms * machine_scale * (1.0 + TOLERANCE)
-    assert now_ms <= limit, (
+    bound = limit(entry, "median_ms", calibration_ms)
+    assert now_ms <= bound, (
         f"rekey@1024 with tracing hooks compiled in but OFF took "
         f"{now_ms:.3f} ms best-of-{WORKLOAD.repeats} vs committed median "
-        f"{committed_ms:.3f} ms (machine scale {machine_scale:.2f}, "
-        f"+{TOLERANCE:.0%} = {limit:.3f} ms): the disabled hook path "
-        f"must stay a single slot read per session"
+        f"{entry['median_ms']:.3f} ms (limit {bound:.3f} ms): the disabled "
+        f"hook path must stay a single slot read per session"
     )
 
 

@@ -67,7 +67,7 @@ from .alm import NiceHierarchy, nice_multicast
 from .alm.reliable import ReliabilityConfig, ReliableSession, ReliableTmeshNode
 from .faults import FaultPlan, FaultStats
 from .metrics import RepairStats
-from .sim import Network, Node, Simulator
+from .sim import Simulator
 from .trace import MetricsRegistry, TraceContext, tracing
 
 __version__ = "1.0.0"
@@ -111,8 +111,6 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "RepairStats",
-    "Network",
-    "Node",
     "Simulator",
     "MetricsRegistry",
     "TraceContext",

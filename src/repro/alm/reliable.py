@@ -578,8 +578,8 @@ class ReliableSession:
     :func:`repro.core.neighbor_table.build_consistent_tables`);
     ``server_table`` is the key server's one-row table for rekey
     transport.  The session owns its scheduling backend — ``backend``
-    names one (``"simulator"`` is the discrete event simulator,
-    ``"eventloop"`` the standalone virtual-clock loop; see
+    names one (``"simulator"`` is the virtual-clock event loop,
+    ``"asyncio"`` its asyncio-driven subclass; see
     :mod:`repro.net.scheduling`) or passes a pre-assembled
     :class:`~repro.net.scheduling.SchedulingBackend`.  Outcomes and
     traces are byte-identical across conforming backends.

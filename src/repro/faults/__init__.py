@@ -2,7 +2,7 @@
 
 :class:`FaultPlan` declares seeded schedules of message drops, delays,
 reordering, duplication, and node crash/recovery windows;
-:class:`repro.sim.node.Network` executes them, and
+:class:`repro.net.scheduling.Transport` executes them, and
 :class:`repro.alm.reliable.ReliableSession` repairs through them.
 """
 

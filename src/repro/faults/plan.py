@@ -22,8 +22,7 @@ runs export byte-identical metrics.  Decisions are drawn from a single
 plan for an identical re-run.
 
 The plan plugs into the transport seam — :class:`repro.net.scheduling.
-Transport` (and therefore its :class:`repro.sim.node.Network` adapter)
-via ``transport.install_faults(plan)``: the transport consults
+Transport` via ``transport.install_faults(plan)``: the transport consults
 :meth:`FaultPlan.apply` on every send and :meth:`FaultPlan.is_down` at
 every delivery, so faults behave identically under every scheduling
 backend.  Pure-function session runners (e.g.

@@ -1,7 +1,7 @@
 """Network substrates: topology interface, routing, the two topology
 families the paper evaluates on (GT-ITM transit-stub and PlanetLab), and
-the scheduling seam (:mod:`repro.net.scheduling`) with its standalone
-event-loop backend (:mod:`repro.net.eventloop`)."""
+the scheduling seam (:mod:`repro.net.scheduling`) with its virtual-clock
+``"simulator"`` backend (:mod:`repro.net.eventloop`)."""
 
 from .topology import Topology, validate_rtt_matrix
 from .synthetic import SyntheticRttTopology
@@ -20,7 +20,7 @@ from .scheduling import (
     create_backend,
     register_backend,
 )
-from .eventloop import EventLoop, TimerHandle, eventloop_backend
+from .eventloop import EventLoop, TimerHandle, simulator_backend
 
 __all__ = [
     "GnpEstimatedTopology",
@@ -47,5 +47,5 @@ __all__ = [
     "register_backend",
     "EventLoop",
     "TimerHandle",
-    "eventloop_backend",
+    "simulator_backend",
 ]

@@ -3,12 +3,11 @@ scheduling seam.
 
 A deterministic event loop that implements
 :class:`repro.net.scheduling.Scheduler` with **no** ``repro.sim``
-import.  All three scheduling backends run on it: ``"eventloop"``
-directly, ``"simulator"`` under its historical names
-(:mod:`repro.sim.engine`: ``Simulator`` *is* :class:`EventLoop`,
-``Event`` *is* :class:`TimerHandle`), and ``"asyncio"`` through the
-:class:`repro.service.aio.AsyncioScheduler` subclass, which adds wall
-pacing and stream IO around the same queue.  The API is
+import.  Both scheduling backends run on it: ``"simulator"`` directly
+(:mod:`repro.sim.engine` keeps the historical names: ``Simulator``
+*is* :class:`EventLoop`, ``Event`` *is* :class:`TimerHandle`), and
+``"asyncio"`` through the :class:`repro.service.aio.AsyncioScheduler`
+subclass, which adds wall pacing and stream IO around the same queue.  The API is
 asyncio-flavoured — :meth:`EventLoop.time`, :meth:`EventLoop.call_soon`
 / :meth:`EventLoop.call_later` / :meth:`EventLoop.call_at` return
 cancellable :class:`TimerHandle`\\ s, mirroring
@@ -17,7 +16,7 @@ cancellable :class:`TimerHandle`\\ s, mirroring
 Semantics (the stateful model in ``tests/test_scheduler_stateful.py``
 holds the loop to a 40-line brute-force reference; the cross-backend
 conformance suite in ``tests/test_scheduler_conformance.py`` holds the
-three backends to each other):
+two backends to each other):
 
 * callbacks fire in ``(when, sequence)`` order — simultaneous timers
   run in scheduling order (deterministic FIFO tie-breaking);
@@ -194,11 +193,11 @@ class EventLoop:
         return self.schedule_at(when, callback)
 
 
-def eventloop_backend(topology) -> SchedulingBackend:
-    """The ``"eventloop"`` backend: a fresh loop plus the shared
+def simulator_backend(topology) -> SchedulingBackend:
+    """The ``"simulator"`` backend: a fresh loop plus the shared
     transport fabric bound to it."""
     loop = EventLoop()
-    return SchedulingBackend("eventloop", loop, Transport(loop, topology))
+    return SchedulingBackend("simulator", loop, Transport(loop, topology))
 
 
-register_backend("eventloop", eventloop_backend)
+register_backend("simulator", simulator_backend)

@@ -10,16 +10,13 @@ concrete :class:`Transport` fabric — so protocol code depends on the
 seam, never on a particular engine behind it (DESIGN.md §3: protocol
 layers stay independent of orchestration layers).
 
-Three backend names, one loop — :class:`repro.net.eventloop.EventLoop`
+Two backend names, one loop — :class:`repro.net.eventloop.EventLoop`
 is the only heap drain:
 
-* ``"eventloop"`` — the loop itself (:mod:`repro.net.eventloop`), with
-  an asyncio-flavoured API and **no** ``repro.sim`` import.
-* ``"simulator"`` — the same loop under the discrete event simulator's
-  names (:mod:`repro.sim.engine`: ``Simulator`` is ``EventLoop``), with
-  :class:`repro.sim.node.Network` subclassing :class:`Transport` only to
-  add the ``simulator`` attribute the orchestration layers address the
-  engine by (:mod:`repro.sim.adapter`).
+* ``"simulator"`` — the loop itself (:mod:`repro.net.eventloop`), with
+  an asyncio-flavoured API and **no** ``repro.sim`` import;
+  :mod:`repro.sim.engine` keeps the discrete event simulator's names
+  for it (``Simulator`` is ``EventLoop``).
 * ``"asyncio"`` — :class:`repro.service.aio.AsyncioScheduler`, an
   ``EventLoop`` subclass that runs the same virtual-clock contract
   deterministically by default and can pace against the wall clock
@@ -250,8 +247,7 @@ _BACKEND_FACTORIES: Dict[str, BackendFactory] = {}
 #: deliberate: ``repro.net`` must never import ``repro.sim`` eagerly
 #: (the layering-import lint rule), and the event loop stays optional.
 _LAZY_BACKENDS: Dict[str, str] = {
-    "simulator": "repro.sim.adapter",
-    "eventloop": "repro.net.eventloop",
+    "simulator": "repro.net.eventloop",
     "asyncio": "repro.service.aio",
 }
 

@@ -7,7 +7,8 @@ process per workload — :func:`measure_peak_rss` spawns
 ``python -m repro.perf.rss <workload>``, the child builds the workload's
 fixture, runs it once, and prints its own high-water mark as JSON.
 
-The committed bounds live in ``BENCH_PR9.json``;
+The committed bounds are the ``peak_rss_bytes`` entries of
+``BENCH.json`` (``tools/perf_baseline.py --rss``);
 ``benchmarks/test_scale_rss.py`` re-measures the 10k/100k rungs and
 fails when a peak regresses past the committed number (the opt-in 1M
 rung additionally asserts the < 2 GB ceiling from docs/PERFORMANCE.md).

@@ -1,14 +1,15 @@
 """Canonical perf workloads shared by the baseline driver and the bench lane.
 
 ``tools/perf_baseline.py`` times every workload here and records the
-results in ``BENCH_PR2.json``; ``benchmarks/test_perf_regression.py``
-re-times the cheap micro workloads and fails when a median regresses past
-the committed numbers.  Keeping one registry guarantees both sides time
+results in ``BENCH.json``; ``benchmarks/test_perf_regression.py``
+re-times the cheap micro workloads and fails when a best-of-N time
+regresses past the committed median (``benchmarks/conftest.py`` holds
+the one limit rule).  Keeping one registry guarantees both sides time
 the *same* operation with the same inputs.
 
-The workload definitions (seeds, sizes, repeat counts) are frozen: they
-match the measurements of the pre-optimization baseline stored in
-``BENCH_PR2.json``, so medians stay comparable across commits.
+The workload definitions (seeds, sizes, repeat counts) are frozen so
+medians stay comparable across commits; the git history of
+``BENCH.json`` is the trajectory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -61,8 +62,8 @@ def calibrate(repeats: int = 11) -> Dict[str, object]:
     committed medians for the current machine's speed.
 
     Timing on shared hosts drifts by tens of percent between runs; the
-    regression guard scales its limits by the ratio of the current
-    calibration to the one stored alongside the committed medians, so a
+    regression guard scales each limit by the ratio of the current
+    calibration to the one stored with that committed median, so a
     globally slower machine does not read as a code regression."""
 
     def spin():
@@ -87,7 +88,6 @@ class Workload:
     name: str
     repeats: int
     setup: Callable[[dict], Callable[[], object]]
-    group_size: Optional[int] = None
     micro: bool = True  # cheap enough for the regression lane
     # Too expensive to run implicitly (the 1M rung): baseline and bench
     # drivers skip it unless named explicitly / opted in via env.
@@ -293,56 +293,27 @@ def _setup_build_group_256(ctx: dict) -> Callable[[], object]:
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
-        Workload("rekey_session_1024", 15, _setup_rekey_1024, group_size=1024),
-        Workload(
-            "planned_rekey_session_1024",
-            15,
-            _setup_planned_rekey_1024,
-            group_size=1024,
-        ),
-        Workload("tmesh_session_128", 15, _setup_tmesh_128, group_size=128),
+        Workload("rekey_session_1024", 15, _setup_rekey_1024),
+        Workload("planned_rekey_session_1024", 15, _setup_planned_rekey_1024),
+        Workload("tmesh_session_128", 15, _setup_tmesh_128),
         Workload("split_predicate", 30, _setup_split_predicate),
         Workload("split_session", 15, _setup_split_session),
-        Workload(
-            "user_stress_sweep_1024",
-            7,
-            _setup_user_stress_sweep,
-            group_size=1024,
-        ),
+        Workload("user_stress_sweep_1024", 7, _setup_user_stress_sweep),
         Workload("modified_tree_batch", 10, _setup_modified_tree_batch),
         Workload("original_tree_batch", 10, _setup_original_tree_batch),
         Workload("id_assignment_join", 10, _setup_id_assignment_join),
+        Workload("rekey_session_10k", 5, _setup_rekey_10k, micro=False),
         Workload(
-            "rekey_session_10k",
-            5,
-            _setup_rekey_10k,
-            group_size=10_000,
-            micro=False,
-        ),
-        Workload(
-            "rekey_session_100k_stream",
-            5,
-            _setup_stream_rekey_100k,
-            group_size=100_000,
-            micro=False,
+            "rekey_session_100k_stream", 5, _setup_stream_rekey_100k, micro=False
         ),
         Workload(
             "rekey_session_1m_stream",
             3,
             _setup_stream_rekey_1m,
-            group_size=1_000_000,
             micro=False,
             optin=True,
         ),
-        Workload(
-            "fig7_experiment", 3, _setup_fig7, group_size=256, micro=False
-        ),
-        Workload(
-            "build_group_256",
-            3,
-            _setup_build_group_256,
-            group_size=256,
-            micro=False,
-        ),
+        Workload("fig7_experiment", 3, _setup_fig7, micro=False),
+        Workload("build_group_256", 3, _setup_build_group_256, micro=False),
     )
 }

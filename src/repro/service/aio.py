@@ -5,7 +5,7 @@ Two drive modes, one timer queue:
 
 * **Deterministic (default).**  Timers fire in ``(when, sequence)``
   order with virtual timestamps — byte-identical to the ``"simulator"``
-  and ``"eventloop"`` backends, which is how the backend passes the
+  backend, which is how the backend passes the
   cross-backend conformance lane (``pytest -q -m conformance``)
   unchanged.  Without streams attached no asyncio loop is even spun up:
   the drain is the heap loop inherited from

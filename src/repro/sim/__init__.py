@@ -1,15 +1,7 @@
-"""Discrete event simulation: engine, message-passing nodes, and the
-``"simulator"`` backend of the :mod:`repro.net.scheduling` seam."""
+"""The discrete event simulator's engine, by its historical names
+(:mod:`repro.sim.engine`); the ``"simulator"`` backend itself lives in
+:mod:`repro.net.eventloop`."""
 
-from .adapter import simulator_backend
 from .engine import Event, Simulator
-from .node import MessageStats, Network, Node
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "MessageStats",
-    "Network",
-    "Node",
-    "simulator_backend",
-]
+__all__ = ["Event", "Simulator"]

@@ -1,16 +1,18 @@
-"""Byte-identity of reliable sessions across scheduling backends.
+"""Byte-identity of reliable sessions across scheduling backends under
+faults.
 
-The refactor's acceptance bar: running the *same* reliable multicast on
-the ``"simulator"`` backend and the standalone ``"eventloop"`` backend
-must produce
+Running the *same* reliable multicast on the ``"simulator"`` backend
+and the ``"asyncio"`` backend (deterministic drive) must produce
 
 * equal :class:`~repro.alm.reliable.ReliableOutcome` values — every
   field, including per-node :class:`~repro.metrics.faults.RepairStats`;
 * byte-equal normalized traces (``TraceContext.render()``), the same
   normalization the golden-trace fixtures use;
 
-on clean networks and under every fault class the plans can inject.
-Each backend gets a freshly built world and a freshly seeded
+on clean networks and under every fault class the plans can inject —
+the fault-plan inputs the scheduler-semantics suite in
+``tests/test_scheduler_conformance.py`` does not exercise.  Each backend
+gets a freshly built world and a freshly seeded
 :class:`~repro.faults.FaultPlan` so the comparison starts from identical
 inputs — any divergence is the scheduler's doing.
 """
@@ -28,7 +30,7 @@ from repro.trace import hooks as trace_hooks
 
 pytestmark = pytest.mark.conformance
 
-BACKENDS = ("simulator", "eventloop")
+BACKENDS = ("simulator", "asyncio")
 SCHEME = IdScheme(3, 4)
 SEED = 7  # tools/check_invariants.py base seed
 
@@ -97,13 +99,13 @@ class TestOutcomeIdentity:
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_outcomes_equal_across_backends(self, scenario):
         sim_outcome, _ = run_session("simulator", scenario)
-        loop_outcome, _ = run_session("eventloop", scenario)
+        aio_outcome, _ = run_session("asyncio", scenario)
         # Dataclass equality covers source, payloads, delivered, missing,
         # aggregate stats, and per-node stats in one comparison.
-        assert sim_outcome == loop_outcome
+        assert sim_outcome == aio_outcome
 
     def test_clean_network_delivers_everything(self):
-        outcome, _ = run_session("eventloop", "clean")
+        outcome, _ = run_session("asyncio", "clean")
         assert outcome.delivery_ratio == 1.0
         assert outcome.duplicates_surfaced == 0
 
@@ -118,7 +120,7 @@ class TestOutcomeIdentity:
         )
         plan = SCENARIOS[scenario]()
         session = ReliableSession(
-            tables, server_table, topology, plan=plan, backend="eventloop"
+            tables, server_table, topology, plan=plan, backend="asyncio"
         )
         session.multicast(PAYLOADS)
         assert plan.stats.total_injected() > 0
@@ -162,14 +164,14 @@ class TestTraceIdentity:
     @pytest.mark.parametrize("scenario", ["clean", "drop20", "kitchen-sink"])
     def test_normalized_traces_byte_equal(self, scenario):
         _, sim_trace = run_session("simulator", scenario, trace=True)
-        _, loop_trace = run_session("eventloop", scenario, trace=True)
+        _, aio_trace = run_session("asyncio", scenario, trace=True)
         assert sim_trace is not None and sim_trace
-        assert sim_trace.encode() == loop_trace.encode()
+        assert sim_trace.encode() == aio_trace.encode()
 
     def test_trace_contains_the_scheduler_run_span(self):
         """Both backends must emit the same ``sim.run`` span the golden
-        fixtures expect — the eventloop cannot rename it without
+        fixtures expect — the asyncio drive cannot rename it without
         breaking byte identity."""
-        _, rendered = run_session("eventloop", "clean", trace=True)
+        _, rendered = run_session("asyncio", "clean", trace=True)
         assert '"sim.run"' in rendered
         assert '"sim.events"' in rendered

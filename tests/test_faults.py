@@ -7,7 +7,8 @@ import pytest
 
 from repro.faults import CrashWindow, FaultPlan, FaultStats
 from repro.net.planetlab import MatrixTopology
-from repro.sim import Network, Node, Simulator
+from repro.net.scheduling import Transport, TransportNode
+from repro.sim import Simulator
 
 
 def drain(plan, sends, now=0.0):
@@ -141,18 +142,18 @@ class TestCrashWindows:
 # ----------------------------------------------------------------------
 # Through the live network
 # ----------------------------------------------------------------------
-class Collector(Node):
-    def __init__(self, network, host):
-        super().__init__(network, host)
+class Collector(TransportNode):
+    def __init__(self, transport, host):
+        super().__init__(transport, host)
         self.inbox = []
 
     def on_message(self, src, payload):
-        self.inbox.append((src, payload, self.network.simulator.now))
+        self.inbox.append((src, payload, self.scheduler.now))
 
 
 def two_hosts(plan=None):
     sim = Simulator()
-    net = Network(sim, MatrixTopology(np.array([[0.0, 10.0], [10.0, 0.0]])))
+    net = Transport(sim, MatrixTopology(np.array([[0.0, 10.0], [10.0, 0.0]])))
     net.install_faults(plan)
     return sim, net, Collector(net, 0), Collector(net, 1)
 

@@ -33,7 +33,6 @@ def make_world(fault_plan=None, seed: int = SEED) -> DistributedGroup:
         server_host=SERVER,
         seed=seed,
         fault_plan=fault_plan,
-        backend="eventloop",
     )
 
 

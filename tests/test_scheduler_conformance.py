@@ -1,10 +1,9 @@
 """Cross-backend conformance for the scheduling seam.
 
-One parameterized suite run against all three :mod:`repro.net.scheduling`
-backends — the virtual-clock event loop (``"eventloop"``), the same loop
-behind the simulator's ``Network`` surface (``"simulator"``), and the
-live service's asyncio subclass of it (``"asyncio"``, deterministic
-drive mode) — asserting identical delivery order, cancel/reschedule semantics, and
+One parameterized suite run against both :mod:`repro.net.scheduling`
+backends — the virtual-clock event loop (``"simulator"``) and the live
+service's asyncio subclass of it (``"asyncio"``, deterministic drive
+mode) — asserting identical delivery order, cancel/reschedule semantics, and
 deterministic same-time tie-breaking.  The scripted scenarios reuse the
 fixed seeds of ``tools/check_invariants.py`` (base seed 7), so a
 divergence here points at the same repro key as the oracle suite.
@@ -42,8 +41,8 @@ from repro.net.scheduling import (
 
 pytestmark = pytest.mark.conformance
 
-#: All three scheduling backends; every test in this file runs against each.
-BACKENDS = ("simulator", "eventloop", "asyncio")
+#: Both scheduling backends; every test in this file runs against each.
+BACKENDS = ("simulator", "asyncio")
 
 #: The oracle suite's base seed (tools/check_invariants.py --seed default).
 ORACLE_SEED = 7
@@ -316,7 +315,7 @@ class TestCrossBackendIdentity:
         from repro.service.aio import AsyncioScheduler
         from repro.sim.engine import Event, Simulator
 
-        # Three names, one heap drain: the simulator is the event loop
+        # Two names, one heap drain: the simulator is the event loop
         # under its historical name, the asyncio scheduler a subclass.
         assert Simulator is EventLoop and Event is TimerHandle
         assert issubclass(AsyncioScheduler, EventLoop)
@@ -413,7 +412,7 @@ class TestCrossBackendIdentity:
         topology, _, tables, server_table = make_static_world(
             SCHEME, ids, seed=ORACLE_SEED, k=1
         )
-        backend = create_backend("eventloop", topology)
+        backend = create_backend("simulator", topology)
         session = ReliableSession(
             tables, server_table, topology, backend=backend
         )

@@ -96,7 +96,7 @@ class SchedulerEquivalence(RuleBasedStateMachine):
         super().__init__()
         self.scheds = {
             "reference": ReferenceScheduler(),
-            "eventloop": EventLoop(),
+            "simulator": EventLoop(),
             "asyncio": AsyncioScheduler(),
         }
         self.logs = {name: [] for name in self.scheds}
@@ -167,7 +167,7 @@ class SchedulerEquivalence(RuleBasedStateMachine):
     @invariant()
     def same_history_and_clock(self):
         reference = self.scheds["reference"]
-        for name in ("eventloop", "asyncio"):
+        for name in ("simulator", "asyncio"):
             assert self.logs[name] == self.logs["reference"], name
             assert self.scheds[name].now == reference.now, name
             assert self.scheds[name].pending == reference.pending, name

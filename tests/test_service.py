@@ -112,7 +112,7 @@ class TestServiceVirtualConformance:
         key-tree state — the service is a drive mode, not a fork of the
         protocol."""
         states = {}
-        for backend in ("simulator", "eventloop", "asyncio"):
+        for backend in ("simulator", "asyncio"):
             world = DistributedGroup(
                 make_topology(), server_host=0, seed=SEED, backend=backend
             )

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.planetlab import MatrixTopology
-from repro.sim import Network, Node, Simulator
+from repro.net.scheduling import Transport, TransportNode
+from repro.sim import Simulator
 
 import numpy as np
 
@@ -164,13 +165,13 @@ class TestSimulatorEdgeCases:
         assert log == ["relative", "absolute", "relative-2"]
 
 
-class EchoNode(Node):
-    def __init__(self, network, host):
-        super().__init__(network, host)
+class EchoNode(TransportNode):
+    def __init__(self, transport, host):
+        super().__init__(transport, host)
         self.inbox = []
 
     def on_message(self, src, payload):
-        self.inbox.append((src, payload, self.network.simulator.now))
+        self.inbox.append((src, payload, self.scheduler.now))
         if payload == "ping":
             self.send(src, "pong")
 
@@ -183,7 +184,7 @@ def star_topology():
 class TestNetwork:
     def test_delivery_after_one_way_delay(self):
         sim = Simulator()
-        net = Network(sim, star_topology())
+        net = Transport(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         a.send(1, "hello")
         sim.run()
@@ -191,7 +192,7 @@ class TestNetwork:
 
     def test_request_response(self):
         sim = Simulator()
-        net = Network(sim, star_topology())
+        net = Transport(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         a.send(1, "ping")
         sim.run()
@@ -199,7 +200,7 @@ class TestNetwork:
 
     def test_detach_drops_messages(self):
         sim = Simulator()
-        net = Network(sim, star_topology())
+        net = Transport(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         b.detach()
         a.send(1, "lost")
@@ -209,7 +210,7 @@ class TestNetwork:
 
     def test_drop_filter(self):
         sim = Simulator()
-        net = Network(sim, star_topology())
+        net = Transport(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         net.drop_filter = lambda src, dst, payload: payload == "bad"
         a.send(1, "bad")
@@ -221,7 +222,7 @@ class TestNetwork:
 
     def test_double_attach_rejected(self):
         sim = Simulator()
-        net = Network(sim, star_topology())
+        net = Transport(sim, star_topology())
         EchoNode(net, 0)
         with pytest.raises(ValueError):
             EchoNode(net, 0)
