@@ -84,7 +84,11 @@ NACK_PAYLOADS = 8
 
 
 def _nack_world(num_users: int, seed: int):
-    scheme = IdScheme(3, 4)
+    # Base 4, at least 3 digits, and enough digits for distinct IDs.
+    digits = 3
+    while 4**digits < num_users:
+        digits += 1
+    scheme = IdScheme(digits, 4)
     params = TransitStubParams(
         transit_domains=3, transit_per_domain=4,
         stubs_per_transit=2, stub_size=7,
@@ -93,11 +97,12 @@ def _nack_world(num_users: int, seed: int):
         num_hosts=num_users + 1, params=params, seed=seed
     )
     rng = np.random.default_rng(seed)
-    id_tuples = set()
-    while len(id_tuples) < num_users:
-        id_tuples.add(tuple(int(rng.integers(0, 4)) for _ in range(3)))
+    codes = sorted(rng.choice(4**digits, size=num_users, replace=False))
     records = [
-        UserRecord(Id(t), host) for host, t in enumerate(sorted(id_tuples))
+        UserRecord(
+            Id(int(code) // 4**d % 4 for d in reversed(range(digits))), host
+        )
+        for host, code in enumerate(codes)
     ]
     tables = build_consistent_tables(scheme, records, topology.rtt, k=4)
     server_table = build_server_table(

@@ -183,6 +183,24 @@ class Id:
 NULL_ID = Id(())
 
 
+def pack_id(value: Id) -> bytes:
+    """Wire form of an ID: a length byte, then one byte per digit.  Raises
+    ``ValueError`` for an ID of 256 or more digits or a digit above 255
+    (the paper's base is 256)."""
+    digits = value.digits
+    return bytes((len(digits), *digits))
+
+
+def unpack_id(buf: bytes, pos: int) -> Tuple[Id, int]:
+    """Read a :func:`pack_id` ID at ``buf[pos]``; returns it and the
+    offset after it.  Raises ``ValueError`` / ``IndexError`` on a short
+    buffer."""
+    end = pos + 1 + buf[pos]
+    if end > len(buf):
+        raise ValueError(f"ID at offset {pos} runs past the buffer")
+    return Id._from_digits(tuple(buf[pos + 1 : end])), end
+
+
 @dataclass(frozen=True)
 class IdScheme:
     """The (D, B) parameters of the identifier space.

@@ -24,21 +24,19 @@ unicast repair.
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ids import Id
-from .keys import Encryption
-
-
-def _serialize(payload: Tuple[Encryption, ...]) -> bytes:
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+from .keys import Encryption, pack_encryptions, unpack_encryptions
 
 
 def _deserialize(raw: bytes) -> Tuple[Encryption, ...]:
-    return pickle.loads(raw)
+    encryptions, end = unpack_encryptions(raw)
+    if end != len(raw):
+        raise ValueError(f"{len(raw) - end} bytes after the encryptions")
+    return encryptions
 
 
 def _xor(buffers: Sequence[bytes], length: int) -> bytes:
@@ -53,7 +51,7 @@ def _xor(buffers: Sequence[bytes], length: int) -> bytes:
 class FecPacket:
     """One packet of a FEC-protected rekey share.
 
-    Data packets carry ``raw = len || pickle(payload)``; the parity
+    Data packets carry ``raw = len || pack_encryptions(payload)``; the parity
     packet carries the XOR of its block's zero-padded data packets.
     ``block_data_count`` tells the decoder how many data packets the
     block originally had.
@@ -81,7 +79,7 @@ class FecPacket:
 
 
 def _frame(payload: Tuple[Encryption, ...]) -> bytes:
-    body = _serialize(payload)
+    body = pack_encryptions(payload)
     return struct.pack(">I", len(body)) + body
 
 

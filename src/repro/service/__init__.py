@@ -18,7 +18,7 @@ from .aio import AsyncioScheduler, asyncio_backend
 from .server import RekeyService
 from .soak import PROFILES, ChurnProfile, ScrapeLoop, SoakHarness, SoakReport
 from .transport import StreamTransport
-from .wire import Hello, decode_body, encode_frame, read_frame
+from .wire import FrameError, Hello, decode_body, encode_frame, read_frame
 
 __all__ = [
     "AsyncioScheduler",
@@ -30,6 +30,7 @@ __all__ = [
     "ScrapeLoop",
     "ChurnProfile",
     "PROFILES",
+    "FrameError",
     "Hello",
     "encode_frame",
     "decode_body",

@@ -35,6 +35,7 @@ terminal delivery, both of which still run in-process.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -327,7 +328,13 @@ class RekeyService:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        frame = await wire.read_frame(reader)
+        try:
+            frame = await wire.read_frame(reader)
+        except wire.FrameError:
+            # Not counted in flight (the endpoint writes its Hello
+            # directly), so only the count and the close apply.
+            self.transport.frames_rejected += 1
+            frame = None
         if frame is None or not isinstance(frame[2], wire.Hello):
             writer.close()
             return
@@ -361,8 +368,19 @@ class RekeyService:
     async def _endpoint_reader(
         self, host: int, reader: asyncio.StreamReader
     ) -> None:
+        # The stream's record table: a repeat of a record this member
+        # still holds decodes to that same frozen object.
+        records: wire.RecordTable = weakref.WeakValueDictionary()
         while True:
-            frame = await wire.read_frame(reader)
+            try:
+                frame = await wire.read_frame(reader, records)
+                if frame is not None and frame[1] != host:
+                    raise wire.FrameError(
+                        f"frame for host {frame[1]} on host {host}'s stream"
+                    )
+            except wire.FrameError:
+                self.transport.reject(host)
+                return
             if frame is None:
                 return
             self.transport.ingress(*frame)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from ..net.scheduling import Transport
-from .wire import encode_frame
+from .wire import SectionMemo, encode_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import asyncio
@@ -36,9 +36,14 @@ class StreamTransport(Transport):
         self.writers: Dict[int, "asyncio.StreamWriter"] = {}
         self.frames_sent = 0
         self.frames_delivered = 0
+        #: Frames a reader could not decode (see :meth:`reject`).
+        self.frames_rejected = 0
         #: Dispatches that fell back to in-process delivery because the
         #: destination had no live stream.
         self.local_deliveries = 0
+        #: host -> frames written to its stream and not yet ingested.
+        self._unread: Dict[int, int] = {}
+        self._memo = SectionMemo()
 
     # ------------------------------------------------------------------
     def register_stream(
@@ -64,15 +69,30 @@ class StreamTransport(Transport):
             return
         self.scheduler.io_started()
         self.frames_sent += 1
-        writer.write(encode_frame(src, dst, payload))
+        self._unread[dst] = self._unread.get(dst, 0) + 1
+        writer.write(encode_frame(src, dst, payload, self._memo))
 
     def ingress(self, src: int, dst: int, payload: Any) -> None:
         """A frame arrived on ``dst``'s endpoint stream.  Terminal
         delivery runs against the *currently installed* fault plan (the
         plan object is process-shared, so for the single-plan service
         this matches the captured-plan semantics of the base fabric)."""
+        self._unread[dst] -= 1
         try:
             self._deliver(src, dst, payload, self.fault_plan)
         finally:
             self.frames_delivered += 1
+            self.scheduler.io_finished()
+
+    def reject(self, host: int) -> None:
+        """``host``'s reader hit a frame it could not decode.  Count it,
+        close the stream — later traffic for ``host`` is delivered
+        in-process — and take every frame still unread on that stream
+        off the wire count, so a drain never waits for frames no reader
+        will deliver."""
+        self.frames_rejected += 1
+        writer = self.writers.pop(host, None)
+        if writer is not None:
+            writer.close()
+        for _ in range(self._unread.pop(host, 0)):
             self.scheduler.io_finished()

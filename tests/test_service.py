@@ -11,11 +11,16 @@ rekeying — without the soak lane's wall-clock budget.
 
 from __future__ import annotations
 
+import asyncio
+import struct
+import time
+
 import pytest
 
 from repro.distributed import DistributedGroup
 from repro.net import TransitStubParams, TransitStubTopology
 from repro.service import RekeyService
+from repro.service import transport as transport_module
 
 SEED = 7
 HOSTS = 17
@@ -192,5 +197,71 @@ class TestRealtimeMode:
             converge(service)
             assert all(service.world.users[h].joined for h in (1, 2, 3))
             assert service.world.check_one_consistency() == []
+        finally:
+            service.stop()
+
+
+class TestBadFrames:
+    """A frame that fails to decode is rejected, counted and closes its
+    stream; it never stalls a drain or silently kills a member."""
+
+    def test_corrupt_frame_neither_stalls_the_drain_nor_breaks_the_group(
+        self, monkeypatch
+    ):
+        service = make_service(stall_timeout=2.0)
+        service.start()
+        try:
+            if not service.use_sockets:
+                pytest.skip("sandbox without loopback sockets")
+            run_workload(service)
+            converge(service)
+            encode = transport_module.encode_frame
+            corrupted = []
+
+            def zero_first_body(src, dst, payload, *rest):
+                frame = encode(src, dst, payload, *rest)
+                if corrupted:
+                    return frame
+                corrupted.append(dst)
+                return frame[:4] + bytes(len(frame) - 4)
+
+            monkeypatch.setattr(transport_module, "encode_frame", zero_first_body)
+            service.join(5, delay=1.0)
+            service.end_interval(delay=5000.0)
+            start = time.perf_counter()
+            service.drain()
+            elapsed = time.perf_counter() - start
+            assert corrupted
+            assert elapsed < 0.5 * service.scheduler.stall_timeout
+            assert service.scheduler.inflight == 0
+            assert service.transport.frames_rejected == 1
+            assert corrupted[0] not in service.transport.writers
+            converge(service)
+            assert service.world.users[5].joined
+            assert service.world.check_one_consistency() == []
+        finally:
+            service.stop()
+
+    def test_undecodable_hello_is_counted_and_closed(self):
+        service = make_service()
+        service.start()
+        try:
+            if not service.use_sockets:
+                pytest.skip("sandbox without loopback sockets")
+
+            async def send_zeroed_hello() -> bytes:
+                reader, writer = await asyncio.open_connection(
+                    service.bind_host, service.port
+                )
+                try:
+                    writer.write(struct.pack(">I", 14) + bytes(14))
+                    await writer.drain()
+                    return await asyncio.wait_for(reader.read(), 2.0)
+                finally:
+                    writer.close()
+
+            assert service.scheduler.run_coro(send_zeroed_hello()) == b""
+            assert service.transport.frames_rejected == 1
+            assert service.transport.writers == {}
         finally:
             service.stop()
