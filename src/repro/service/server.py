@@ -382,6 +382,7 @@ class RekeyService:
                 self.transport.reject(host)
                 return
             if frame is None:
+                self.transport.drop_stream(host)
                 return
             self.transport.ingress(*frame)
 

@@ -14,7 +14,8 @@ protocol is indifferent to which hosts are "really" remote.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from collections import defaultdict
+from typing import Any, DefaultDict, Dict, Optional, TYPE_CHECKING
 
 from ..net.scheduling import Transport
 from .wire import SectionMemo, encode_frame
@@ -43,7 +44,11 @@ class StreamTransport(Transport):
         self.local_deliveries = 0
         #: host -> frames written to its stream and not yet ingested.
         self._unread: Dict[int, int] = {}
-        self._memo = SectionMemo()
+        #: host -> memo of the update section it last sent.  One per
+        #: sender because copies leave after per-link delays: a
+        #: forwarder's dispatches interleave with every other
+        #: forwarder's, so one shared memo would rarely hit.
+        self._memos: DefaultDict[int, SectionMemo] = defaultdict(SectionMemo)
 
     # ------------------------------------------------------------------
     def register_stream(
@@ -70,7 +75,7 @@ class StreamTransport(Transport):
         self.scheduler.io_started()
         self.frames_sent += 1
         self._unread[dst] = self._unread.get(dst, 0) + 1
-        writer.write(encode_frame(src, dst, payload, self._memo))
+        writer.write(encode_frame(src, dst, payload, self._memos[src]))
 
     def ingress(self, src: int, dst: int, payload: Any) -> None:
         """A frame arrived on ``dst``'s endpoint stream.  Terminal
@@ -85,12 +90,16 @@ class StreamTransport(Transport):
             self.scheduler.io_finished()
 
     def reject(self, host: int) -> None:
-        """``host``'s reader hit a frame it could not decode.  Count it,
-        close the stream — later traffic for ``host`` is delivered
-        in-process — and take every frame still unread on that stream
-        off the wire count, so a drain never waits for frames no reader
-        will deliver."""
+        """``host``'s reader hit a frame it could not decode: count it
+        and drop the stream."""
         self.frames_rejected += 1
+        self.drop_stream(host)
+
+    def drop_stream(self, host: int) -> None:
+        """``host``'s reader stopped.  Close the stream — later traffic
+        for ``host`` is delivered in-process — and take every frame
+        still unread on it off the wire count, so a drain never waits for
+        frames no reader will deliver."""
         writer = self.writers.pop(host, None)
         if writer is not None:
             writer.close()

@@ -25,8 +25,8 @@ and nothing else.
 Two things make the codec cheap where the traffic is.  A forwarder's
 copies of one ``MembershipUpdate`` share the ``joins`` / ``leaves`` /
 ``replacements`` tuples and differ only in the Theorem-2 split
-encryptions, so a :class:`SectionMemo` encodes that section once per
-update.  On decode, a per-stream record table (a
+encryptions, so the sender's :class:`SectionMemo` encodes that section
+once.  On decode, a per-stream record table (a
 ``weakref.WeakValueDictionary`` from a record's wire bytes to the frozen
 ``UserRecord`` already built from them) hands back the member's own
 record object for repeats instead of materialising a copy.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import struct
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, MutableMapping, Optional, Tuple
 
 from ..core.ids import pack_id, unpack_id
@@ -82,18 +81,16 @@ class SectionMemo:
 
     Every next-hop copy a forwarder sends carries the same ``joins``,
     ``leaves`` and ``replacements`` tuple objects; only the split
-    encryptions differ.  The memo keeps, per sending host, the bytes of
-    the last section that host sent, keyed by the identity of those three
-    tuples, and holds the tuples so their identities cannot be reused
-    while it does.  It is per host because copies leave after per-link
-    delays: one forwarder's dispatches interleave with every other
-    forwarder's, so a single process-wide entry would rarely hit."""
+    encryptions differ.  The memo keeps the bytes of the last section it
+    encoded, keyed by the identity of those three tuples, and holds the
+    tuples so their identities cannot be reused while it does.  One memo
+    serves one sender."""
 
     def __init__(self) -> None:
-        self._last: Dict[int, Tuple[tuple, tuple, tuple, bytes]] = {}
+        self._last: Optional[Tuple[tuple, tuple, tuple, bytes]] = None
 
-    def encode(self, src: int, update: m.MembershipUpdate) -> bytes:
-        last = self._last.get(src)
+    def section(self, update: m.MembershipUpdate) -> bytes:
+        last = self._last
         if (
             last is not None
             and last[0] is update.joins
@@ -102,7 +99,7 @@ class SectionMemo:
         ):
             return last[3]
         blob = _pack_section(update)
-        self._last[src] = (update.joins, update.leaves, update.replacements, blob)
+        self._last = (update.joins, update.leaves, update.replacements, blob)
         return blob
 
 
@@ -142,11 +139,13 @@ def _pack_section(update: m.MembershipUpdate) -> bytes:
 
 
 #: Encodes an update's shared section: :func:`_pack_section`, or a
-#: sender's :class:`SectionMemo` slot.
+#: sender's :meth:`SectionMemo.section`.
 _Section = Callable[[m.MembershipUpdate], bytes]
 
 
-def _write_update(update: m.MembershipUpdate, section: _Section) -> bytes:
+def _write_update(
+    update: m.MembershipUpdate, section: _Section = _pack_section
+) -> bytes:
     return (
         _U32.pack(update.interval)
         + section(update)
@@ -154,79 +153,92 @@ def _write_update(update: m.MembershipUpdate, section: _Section) -> bytes:
     )
 
 
-def _write_hello(p: Hello, section: _Section) -> bytes:
+def _write_hello(p: Hello) -> bytes:
     return _U32.pack(p.host)
 
 
-def _write_join_request(p: m.JoinRequest, section: _Section) -> bytes:
+def _write_join_request(p: m.JoinRequest) -> bytes:
     return b""
 
 
-def _write_join_grant(p: m.JoinGrant, section: _Section) -> bytes:
+def _write_join_grant(p: m.JoinGrant) -> bytes:
     return _pack_optional_record(p.assigned) + _pack_optional_record(
         p.bootstrap
     )
 
 
-def _write_query(p: m.QueryMsg, section: _Section) -> bytes:
+def _write_query(p: m.QueryMsg) -> bytes:
     return pack_id(p.target_prefix) + _pack_query_token(p.token)
 
 
-def _write_query_response(p: m.QueryResponse, section: _Section) -> bytes:
+def _write_query_response(p: m.QueryResponse) -> bytes:
     return _pack_records(p.records) + _pack_query_token(p.token)
 
 
-def _write_ping(p: m.PingMsg, section: _Section) -> bytes:
+def _write_ping(p: m.PingMsg) -> bytes:
     return _U64.pack(p.token)
 
 
-def _write_pong(p: m.PongMsg, section: _Section) -> bytes:
+def _write_pong(p: m.PongMsg) -> bytes:
     return _pack_optional_record(p.responder_record) + _U64.pack(p.token)
 
 
-def _write_failure(p: m.FailureNotice, section: _Section) -> bytes:
+def _write_failure(p: m.FailureNotice) -> bytes:
     return pack_id(p.failed_user) + pack_id(p.reporter)
 
 
-def _write_notify(p: m.NotifyPrefix, section: _Section) -> bytes:
+def _write_notify(p: m.NotifyPrefix) -> bytes:
     return pack_id(p.determined_prefix)
 
 
-def _write_assigned(p: m.AssignedId, section: _Section) -> bytes:
+def _write_assigned(p: m.AssignedId) -> bytes:
     return _pack_record(p.record) + _pack_ids(p.departed)
 
 
-def _write_leave(p: m.LeaveRequest, section: _Section) -> bytes:
+def _write_leave(p: m.LeaveRequest) -> bytes:
     return pack_id(p.user_id) + _pack_records(p.neighbor_records)
 
 
-def _write_recover_request(p: m.RecoverRequest, section: _Section) -> bytes:
+def _write_recover_request(p: m.RecoverRequest) -> bytes:
     return _I32.pack(p.last_interval)
 
 
-def _write_recover_response(p: m.RecoverResponse, section: _Section) -> bytes:
+def _write_recover_response(
+    p: m.RecoverResponse, section: _Section = _pack_section
+) -> bytes:
     return _U32.pack(len(p.updates)) + b"".join(
         _write_update(update, section) for update in p.updates
     )
 
 
-def _write_multicast(p: m.MulticastMsg, section: _Section) -> bytes:
+def _write_multicast(
+    p: m.MulticastMsg, section: _Section = _pack_section
+) -> bytes:
     return _write_update(p.payload, section) + bytes((p.forward_level,))
+
+
+#: Payloads that carry a ``MembershipUpdate``; their writers take the
+#: section encoder.
+_CARRY_UPDATES = frozenset((m.MembershipUpdate, m.RecoverResponse, m.MulticastMsg))
 
 
 def encode_frame(
     src: int, dst: int, payload: Any, memo: Optional[SectionMemo] = None
 ) -> bytes:
-    """One complete frame, length header included.  ``memo`` lets each
-    sender reuse the shared section of its copies of one update.  A
-    payload outside the codec raises :class:`FrameError`."""
+    """One complete frame, length header included.  ``memo`` is the
+    sender's :class:`SectionMemo`, which encodes the shared section of
+    its copies of one update once.  A payload outside the codec raises
+    :class:`FrameError`."""
     entry = _ENCODERS.get(type(payload))
     if entry is None:
         raise FrameError(f"no wire encoding for {type(payload).__name__}")
     tag, write = entry
-    section = _pack_section if memo is None else partial(memo.encode, src)
     try:
-        body = _PREFIX.pack(VERSION, tag, src, dst) + write(payload, section)
+        if memo is not None and type(payload) in _CARRY_UPDATES:
+            fields = write(payload, memo.section)
+        else:
+            fields = write(payload)
+        body = _PREFIX.pack(VERSION, tag, src, dst) + fields
     except (struct.error, ValueError, TypeError, AttributeError) as exc:
         raise FrameError(
             f"cannot encode {type(payload).__name__}: {exc}"
@@ -415,7 +427,7 @@ _CODECS = (
     (m.RecoverResponse, _write_recover_response, _read_recover_response),
     (m.MulticastMsg, _write_multicast, _read_multicast),
 )
-_ENCODERS: Dict[type, Tuple[int, Callable[[Any, _Section], bytes]]] = {
+_ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {
     cls: (tag, write) for tag, (cls, write, _) in enumerate(_CODECS)
 }
 _DECODERS = tuple(read for _, _, read in _CODECS)

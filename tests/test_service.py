@@ -21,6 +21,7 @@ from repro.distributed import DistributedGroup
 from repro.net import TransitStubParams, TransitStubTopology
 from repro.service import RekeyService
 from repro.service import transport as transport_module
+from repro.service import wire as wire_module
 
 SEED = 7
 HOSTS = 17
@@ -218,8 +219,8 @@ class TestBadFrames:
             encode = transport_module.encode_frame
             corrupted = []
 
-            def zero_first_body(src, dst, payload, *rest):
-                frame = encode(src, dst, payload, *rest)
+            def zero_first_body(src, dst, payload, memo=None):
+                frame = encode(src, dst, payload, memo)
                 if corrupted:
                     return frame
                 corrupted.append(dst)
@@ -236,6 +237,45 @@ class TestBadFrames:
             assert service.scheduler.inflight == 0
             assert service.transport.frames_rejected == 1
             assert corrupted[0] not in service.transport.writers
+            converge(service)
+            assert service.world.users[5].joined
+            assert service.world.check_one_consistency() == []
+        finally:
+            service.stop()
+
+    def test_stream_that_ends_with_frames_unread_does_not_stall_the_drain(
+        self, monkeypatch
+    ):
+        """A connection that drops inside a frame: ``read_frame`` returns
+        None with that frame written but never ingested."""
+        service = make_service(stall_timeout=2.0)
+        service.start()
+        try:
+            if not service.use_sockets:
+                pytest.skip("sandbox without loopback sockets")
+            run_workload(service)
+            converge(service)
+            read = wire_module.read_frame
+            dropped = []
+
+            async def drop_first_member_frame(reader, records=None):
+                frame = await read(reader, records)
+                if dropped or frame is None or isinstance(frame[2], wire_module.Hello):
+                    return frame
+                dropped.append(frame[1])
+                return None
+
+            monkeypatch.setattr(wire_module, "read_frame", drop_first_member_frame)
+            service.join(5, delay=1.0)
+            service.end_interval(delay=5000.0)
+            start = time.perf_counter()
+            service.drain()
+            elapsed = time.perf_counter() - start
+            assert dropped
+            assert elapsed < 0.5 * service.scheduler.stall_timeout
+            assert service.scheduler.inflight == 0
+            assert service.transport.frames_rejected == 0
+            assert dropped[0] not in service.transport.writers
             converge(service)
             assert service.world.users[5].joined
             assert service.world.check_one_consistency() == []

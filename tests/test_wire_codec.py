@@ -161,14 +161,20 @@ class TestRoundTrip:
     @given(u32, updates, st.lists(tuples_of(encryptions), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_section_memo_never_changes_the_bytes(self, src, update, splits):
-        """Copies sharing one update's tuples (a forwarder's next hops)
-        encode to the same bytes with and without the memo."""
+        """Copies sharing one update's tuples (a forwarder's next hops),
+        alone and inside a recovery response, encode to the same bytes
+        with and without the memo."""
         memo = wire.SectionMemo()
         for level, split in enumerate(splits):
-            copy = m.MulticastMsg(
-                dataclasses.replace(update, encryptions=split), level
-            )
-            assert encode_frame(src, 1, copy, memo) == encode_frame(src, 1, copy)
+            copy = dataclasses.replace(update, encryptions=split)
+            for payload in (
+                m.MulticastMsg(copy, level),
+                m.RecoverResponse((copy, update)),
+                m.PingMsg(level),
+            ):
+                assert encode_frame(src, 1, payload, memo) == encode_frame(
+                    src, 1, payload
+                )
 
     def test_record_table_shares_repeats_and_forgets_dropped_records(self):
         table = weakref.WeakValueDictionary()
