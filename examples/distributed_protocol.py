@@ -42,8 +42,8 @@ world.end_interval(at=t + 2000.0)
 world.run()
 
 active = world.active_users()
-print(f"  {len(active)} users joined; sim time {world.simulator.now:.0f} ms, "
-      f"{world.simulator.events_processed} events")
+print(f"  {len(active)} users joined; sim time {world.scheduler.now:.0f} ms, "
+      f"{world.scheduler.events_processed} events")
 queries = [u.stats.queries_sent for u in active]
 pings = [u.stats.pings_sent for u in active]
 print(f"  per-joiner cost: queries median {int(np.median(queries))} "
@@ -52,7 +52,7 @@ problems = world.check_one_consistency()
 print(f"  table audit: {'1-consistent' if not problems else problems[:2]}")
 
 print("\n== interval 1: 8 more joins, 4 leaves ==")
-t = world.simulator.now + 100.0
+t = world.scheduler.now + 100.0
 for host in range(16, 24):
     world.schedule_join(host, at=t)
     t += float(RNG.uniform(5.0, 150.0))

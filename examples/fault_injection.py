@@ -132,11 +132,11 @@ assert active == 10
 # reference-[31] recovery rounds resync members whose (lossy)
 # announcement copies were dropped.
 holes = len(world.check_one_consistency())
-world.end_interval(at=world.simulator.now + 100.0)
+world.end_interval(at=world.scheduler.now + 100.0)
 world.run()
 mid = len(world.check_one_consistency())
 for r in range(3):
-    world.schedule_recovery_round(at=world.simulator.now + 100.0 * (r + 1))
+    world.schedule_recovery_round(at=world.scheduler.now + 100.0 * (r + 1))
 world.run()
 recovered = sum(u.stats.recovered_updates for u in world.users.values())
 print(f"table audit   : {holes} -> {mid} -> "

@@ -151,6 +151,7 @@ class _RepairState:
 
     attempts: int = 0
     event: Optional[object] = None  # pending NACK timer, if any
+    counted_through: int = -1  # holes up to this seq are already in gave_up
 
 
 @dataclass
@@ -492,7 +493,12 @@ class ReliableTmeshNode(TransportNode):
         config = self.config
         if state.attempts >= config.max_upstream_nacks + config.max_source_nacks:
             state.event = None
-            self.stats.gave_up += len(missing)
+            # The budget stays spent, so a later round gives up at once,
+            # also on holes an earlier give-up counted.  A hole never
+            # reopens once filled, so those are exactly the ones at or
+            # below the earlier watermark: count only the ones above it.
+            self.stats.gave_up += sum(s > state.counted_through for s in missing)
+            state.counted_through = self._highest[source]
             return
         if state.attempts < config.max_upstream_nacks and source in self._upstream:
             target = self._upstream[source]

@@ -61,11 +61,6 @@ class DistributedGroup:
         self.backend = backend
         self.scheduler = backend.scheduler
         self.transport = backend.transport
-        #: Legacy spellings predating the scheduling seam — the same
-        #: objects as ``scheduler`` / ``transport``.  Kept because tests
-        #: and examples read ``world.simulator.now`` / ``world.network``.
-        self.simulator = self.scheduler
-        self.network = self.transport
         self.transport.install_faults(fault_plan)
         self.fault_plan = fault_plan
         self.server = ServerNode(self.transport, server_host, scheme, k=k, seed=seed)
@@ -76,7 +71,7 @@ class DistributedGroup:
     def schedule_join(self, host: int, at: float) -> UserNode:
         """Create a user node and schedule its join protocol at ``at``."""
         node = UserNode(
-            self.network,
+            self.transport,
             host,
             self.server.host,
             self.scheme,
@@ -84,26 +79,26 @@ class DistributedGroup:
             k=self.k,
         )
         self.users[host] = node
-        self.simulator.schedule_at(at, node.start_join)
+        self.scheduler.schedule_at(at, node.start_join)
         return node
 
     def schedule_leave_of_host(self, host: int, at: float) -> None:
-        self.simulator.schedule_at(at, self.users[host].start_leave)
+        self.scheduler.schedule_at(at, self.users[host].start_leave)
 
     def schedule_crash(self, host: int, at: float) -> None:
         """Silent failure: the node detaches without any protocol; other
         members must detect it by missed pings (Section 3.2)."""
-        self.simulator.schedule_at(at, self.users[host].detach)
+        self.scheduler.schedule_at(at, self.users[host].detach)
 
     def schedule_probe_round(self, at: float) -> None:
         """Every attached user runs one liveness-probe round at ``at``."""
 
         def fire() -> None:
             for user in self.users.values():
-                if self.network.node_at(user.host) is user:
+                if self.transport.node_at(user.host) is user:
                     user.probe_neighbors()
 
-        self.simulator.schedule_at(at, fire)
+        self.scheduler.schedule_at(at, fire)
 
     def schedule_recovery_round(self, at: float) -> None:
         """Every attached member asks the server at ``at`` for interval
@@ -113,10 +108,10 @@ class DistributedGroup:
 
         def fire() -> None:
             for user in self.users.values():
-                if self.network.node_at(user.host) is user:
+                if self.transport.node_at(user.host) is user:
                     user.request_recovery()
 
-        self.simulator.schedule_at(at, fire)
+        self.scheduler.schedule_at(at, fire)
 
     def schedule_refill_sweep(self, at: float) -> None:
         """Every attached user runs one anti-entropy refill round at
@@ -125,43 +120,43 @@ class DistributedGroup:
 
         def fire() -> None:
             for user in self.users.values():
-                if self.network.node_at(user.host) is user:
+                if self.transport.node_at(user.host) is user:
                     user.refill_sweep()
 
-        self.simulator.schedule_at(at, fire)
+        self.scheduler.schedule_at(at, fire)
 
     def end_interval(self, at: float) -> None:
         """Schedule an interval end (batch rekey + announcement)."""
 
         def fire() -> None:
             update = self.server.end_interval()
-            self.intervals.append(IntervalLog(update, self.simulator.now))
+            self.intervals.append(IntervalLog(update, self.scheduler.now))
             tctx = _trace_hooks.ACTIVE
             if tctx is not None:
-                tctx.observe_interval(update, self.simulator.now)
+                tctx.observe_interval(update, self.scheduler.now)
 
-        self.simulator.schedule_at(at, fire)
+        self.scheduler.schedule_at(at, fire)
 
     def run(self, until: Optional[float] = None) -> None:
         tctx = _trace_hooks.ACTIVE
         if tctx is None:
-            self.simulator.run(until=until)
+            self.scheduler.run(until=until)
         else:
             # Snapshot the network's message pump around the drain so the
             # span carries this run's traffic, not the world's lifetime
             # totals.
-            stats = self.network.stats
+            stats = self.transport.stats
             before = (stats.sent, stats.delivered, stats.dropped)
             with tctx.span(
                 "distributed.run", users=len(self.users)
             ) as span:
-                self.simulator.run(until=until)
+                self.scheduler.run(until=until)
                 span.set(
                     messages_sent=stats.sent - before[0],
                     messages_delivered=stats.delivered - before[1],
                     messages_dropped=stats.dropped - before[2],
                     intervals=len(self.intervals),
-                    now_ms=self.simulator.now,
+                    now_ms=self.scheduler.now,
                 )
             tctx.registry.inc("distributed.messages_sent", stats.sent - before[0])
             tctx.registry.inc(
@@ -205,7 +200,7 @@ class DistributedGroup:
         return [
             u
             for u in self.users.values()
-            if u.joined and self.network.node_at(u.host) is u
+            if u.joined and self.transport.node_at(u.host) is u
         ]
 
     def check_one_consistency(self) -> List[str]:

@@ -108,16 +108,13 @@ class ServerNode(TransportNode):
 
     def __init__(
         self,
-        network: Transport,
+        transport: Transport,
         host: int,
         scheme: IdScheme,
         k: int = 4,
         seed: int = 0,
     ):
-        super().__init__(network, host)
-        #: Legacy spelling predating the scheduling seam; same object as
-        #: ``self.transport``.
-        self.network = network
+        super().__init__(transport, host)
         self.scheme = scheme
         self.k = k
         self.rng = np.random.default_rng(seed)
@@ -200,7 +197,7 @@ class ServerNode(TransportNode):
         record = UserRecord(
             user_id,
             host,
-            access_rtt=self.network.topology.access_rtt(host),
+            access_rtt=self.transport.topology.access_rtt(host),
             join_time=float(self._clock),
         )
         self.id_tree.add_user(user_id)
@@ -357,7 +354,7 @@ class ServerNode(TransportNode):
             record = self.records.get(user_id)
             if record is not None:
                 table.insert(
-                    record, self.network.topology.rtt(self.host, record.host)
+                    record, self.transport.topology.rtt(self.host, record.host)
                 )
         return table
 
@@ -439,7 +436,7 @@ class UserNode(TransportNode):
 
     def __init__(
         self,
-        network: Transport,
+        transport: Transport,
         host: int,
         server_host: int,
         scheme: IdScheme,
@@ -448,10 +445,7 @@ class UserNode(TransportNode):
         percentile: float = 90.0,
         collect_target: int = 10,
     ):
-        super().__init__(network, host)
-        #: Legacy spelling predating the scheduling seam; same object as
-        #: ``self.transport``.
-        self.network = network
+        super().__init__(transport, host)
         self.server_host = server_host
         self.scheme = scheme
         self.thresholds = thresholds
@@ -515,7 +509,7 @@ class UserNode(TransportNode):
             "leave",
             lambda: m.LeaveRequest(self.user_id, neighbors),
             # done once the final multicast detached us
-            done=lambda: self.network.node_at(self.host) is not self,
+            done=lambda: self.transport.node_at(self.host) is not self,
         )
 
     # ------------------------------------------------------------------
@@ -529,7 +523,7 @@ class UserNode(TransportNode):
 
         def retry() -> None:
             self._server_retry_events.pop(key, None)
-            if done() or self.network.node_at(self.host) is not self:
+            if done() or self.transport.node_at(self.host) is not self:
                 return
             self.stats.server_retries += 1
             self._send_to_server(key, make_msg, done, attempt + 1)
@@ -731,7 +725,7 @@ class UserNode(TransportNode):
 
     def _decide(self, phase: _Phase) -> None:
         phase.stage = "done"
-        my_access = self.network.topology.access_rtt(self.host)
+        my_access = self.transport.topology.access_rtt(self.host)
         best_digit, best_value = None, float("inf")
         for digit, pool in phase.pools.items():
             if not pool:
@@ -789,7 +783,7 @@ class UserNode(TransportNode):
             return  # a stale record echoed by a racing query response
         rtt = self.measured.get(record.host)
         if rtt is None:
-            rtt = self.network.topology.rtt(self.host, record.host)
+            rtt = self.transport.topology.rtt(self.host, record.host)
             self.measured[record.host] = rtt
             self.stats.pings_sent += 1
         self.table.insert(record, rtt)
@@ -882,7 +876,7 @@ class UserNode(TransportNode):
             )
             self.stats.recovered_updates += 1
             self._apply_update(update)
-            if self.network.node_at(self.host) is not self:
+            if self.transport.node_at(self.host) is not self:
                 return  # a recovered update announced our own departure
 
     def refill_sweep(self) -> int:

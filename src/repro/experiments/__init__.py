@@ -13,9 +13,9 @@ from .common import (
 from .latency_experiments import (
     LatencyComparison,
     SchemeLatency,
+    replication_seeds,
     run_latency_experiment,
 )
-from .parallel import ParallelRunner, replication_seeds
 from .rekey_cost import (
     RekeyCostPoint,
     RekeyCostSurface,
@@ -48,7 +48,6 @@ __all__ = [
     "LatencyComparison",
     "SchemeLatency",
     "run_latency_experiment",
-    "ParallelRunner",
     "replication_seeds",
     "RekeyCostPoint",
     "RekeyCostSurface",

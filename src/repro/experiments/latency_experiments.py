@@ -25,7 +25,6 @@ from ..metrics.stats import RankedRuns, ranked_across_runs
 from ..net.topology import Topology
 from .common import build_group, build_nice, build_topology, join_order, server_host_of
 from .config import SCHEME
-from .parallel import ParallelRunner, replication_seeds, worker_context
 
 
 @dataclass
@@ -85,14 +84,23 @@ class LatencyComparison:
         return "\n".join(lines)
 
 
-def _latency_run(run_seed: int) -> Tuple[np.ndarray, ...]:
-    """One replication of a latency figure, a pure function of its seed.
+def replication_seeds(seed: int, runs: int) -> List[int]:
+    """The per-run seeds a latency figure derives from its base seed
+    (run ``r`` gets ``seed + 1000 * (r + 1)``)."""
+    return [seed + 1000 * (run + 1) for run in range(runs)]
 
-    Reads the run-invariant inputs (topology, mode, ...) from the
-    :mod:`.parallel` worker context so the same function serves both the
-    serial loop and forked pool workers without re-pickling the topology
-    per task."""
-    topology, num_users, mode, scheme, thresholds, server = worker_context()
+
+def _latency_run(
+    run_seed: int,
+    topology: Topology,
+    num_users: int,
+    mode: str,
+    scheme,
+    thresholds: Optional[Sequence[float]],
+    server: int,
+) -> Tuple[np.ndarray, ...]:
+    """One replication of a latency figure, a pure function of its seed
+    and the run-invariant inputs."""
     order = join_order(num_users, run_seed)
     group = build_group(
         topology, num_users, run_seed, scheme=scheme, thresholds=thresholds
@@ -132,28 +140,23 @@ def run_latency_experiment(
     seed: int = 0,
     scheme=SCHEME,
     thresholds: Optional[Sequence[float]] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> LatencyComparison:
     """Run one of Figs. 6–11.
 
     ``mode="rekey"`` sources the multicast at the key server;
     ``mode="data"`` at a random user.  The topology is fixed across runs;
     the join order (and data sender) varies per run.
-
-    ``runner`` distributes the replications over worker processes; the
-    default runs them serially in process.  Results are identical either
-    way — each run depends only on its derived seed.
     """
     if mode not in ("rekey", "data"):
         raise ValueError(f"mode must be rekey or data, got {mode!r}")
     topology = build_topology(topology_kind, num_users, seed)
     server = server_host_of(topology)
-    if runner is None:
-        runner = ParallelRunner(processes=1)
-    context = (topology, num_users, mode, scheme, thresholds, server)
-    results = runner.map(
-        _latency_run, replication_seeds(seed, runs), context=context
-    )
+    results = [
+        _latency_run(
+            run_seed, topology, num_users, mode, scheme, thresholds, server
+        )
+        for run_seed in replication_seeds(seed, runs)
+    ]
     t_stress = [r[0] for r in results]
     t_delay = [r[1] for r in results]
     t_rdp = [r[2] for r in results]

@@ -1,11 +1,10 @@
 """Project-specific static analysis: the runtime disciplines, enforced
 at commit time.
 
-PRs 1–4 built four disciplines the reproduction depends on — byte-
-deterministic replays (golden traces, the fixed-seed differential
-oracle), zero-overhead-off module-slot hooks, the DESIGN.md layering
-direction, and fork-safe parallel payloads — and enforced them at
-*runtime*.  This package enforces them *statically*: an AST pass over
+The reproduction depends on three disciplines — byte-deterministic
+replays (golden traces, the fixed-seed differential oracle),
+zero-overhead-off module-slot hooks, and the DESIGN.md layering
+direction — that the tests enforce at *runtime*.  This package enforces them *statically*: an AST pass over
 ``src/repro`` with one rule family per discipline (plus API hygiene),
 structured :class:`~repro.lint.violations.LintViolation` reports
 mirroring ``repro.verify``'s shape, inline suppressions that require a

@@ -1,10 +1,10 @@
 """Project policy the rule families enforce — pure data, no logic.
 
-The constants here encode the four runtime disciplines the reproduction
+The constants here encode the three runtime disciplines the reproduction
 depends on (byte-deterministic replays, zero-overhead-off module-slot
-hooks, the DESIGN.md layering direction, and ``fork``-safe parallel
-payloads) as static-analysis policy.  Rules read these at check time, so
-policy changes are one-file diffs reviewed next to DESIGN.md.
+hooks, and the DESIGN.md layering direction) as static-analysis policy.
+Rules read these at check time, so policy changes are one-file diffs
+reviewed next to DESIGN.md.
 """
 
 from __future__ import annotations
@@ -269,24 +269,6 @@ LAYER_FORBIDDEN: dict[str, frozenset[str]] = {
         }
     ),
 }
-
-# ----------------------------------------------------------------------
-# Fork safety (ParallelRunner fork boundary — docs/PERFORMANCE.md)
-# ----------------------------------------------------------------------
-
-#: Attribute names that submit a payload to a worker pool.
-FORK_SUBMIT_ATTRS = frozenset({"map"})
-
-#: Modules whose classes cross (or carry payloads across) the fork
-#: boundary and should declare ``__slots__``: per-instance dicts cost
-#: both pickle bytes and memory at the paper's 1024-member scale.
-FORK_BOUNDARY_MODULES = frozenset(
-    {
-        "repro/experiments/parallel.py",
-        "repro/trace/spans.py",
-        "repro/verify/report.py",
-    }
-)
 
 # ----------------------------------------------------------------------
 # Flow rules (CFG + dataflow — repro.lint.flow, docs/STATIC_ANALYSIS.md

@@ -2,8 +2,8 @@
 
 A rule is a stateless visitor over one parsed module; it yields
 :class:`~repro.lint.violations.LintViolation` records and never mutates
-anything.  Families mirror the four runtime disciplines plus API
-hygiene:
+anything.  Families mirror the three runtime disciplines plus API
+hygiene and dataflow:
 
 ``determinism``
     wall clocks, global/unseeded RNGs, OS entropy, set-iteration order
@@ -13,9 +13,6 @@ hygiene:
     ``repro.verify.hooks``;
 ``layering``
     the DESIGN.md §3 dependency direction;
-``fork``
-    picklability and ``__slots__`` across the ``ParallelRunner`` fork
-    boundary (docs/PERFORMANCE.md);
 ``api``
     mutable default arguments, bare ``except``;
 ``flow``
@@ -74,7 +71,6 @@ def all_rules() -> list[Rule]:
         UrandomOutsideCryptoRule,
         WallClockRule,
     )
-    from .forksafety import ForkSlotsRule, ForkUnpicklableRule
     from .hookdiscipline import HookEagerImportRule, HookUnguardedRule
     from .hygiene import BareExceptRule, MutableDefaultRule
     from .layering import LayeringImportRule
@@ -94,8 +90,6 @@ def all_rules() -> list[Rule]:
         HookEagerImportRule(),
         HookUnguardedRule(),
         LayeringImportRule(),
-        ForkUnpicklableRule(),
-        ForkSlotsRule(),
         MutableDefaultRule(),
         BareExceptRule(),
         AwaitInterleavingRaceRule(),

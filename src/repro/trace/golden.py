@@ -17,9 +17,7 @@ Workloads:
   ``keytree`` hooks).
 * :func:`fig7_trace` — the Fig. 7 rekey-latency workload (GT-ITM, T-mesh
   vs NICE) through :func:`~repro.experiments.latency_experiments.
-  run_latency_experiment`, replications distributed by a
-  :class:`~repro.experiments.parallel.ParallelRunner` (covers the
-  per-worker trace merge; byte-identical for any process count).
+  run_latency_experiment`, two replications traced into one context.
 
 Regenerate the fixtures after an *intentional* behaviour change::
 
@@ -28,7 +26,7 @@ Regenerate the fixtures after an *intentional* behaviour change::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from .hooks import tracing
 
@@ -59,22 +57,15 @@ def rekey256_trace(seed: int = GOLDEN_SEED, users: int = REKEY_USERS) -> str:
 
 
 def fig7_trace(
-    seed: int = GOLDEN_SEED,
-    users: int = FIG7_USERS,
-    runs: int = FIG7_RUNS,
-    processes: Optional[int] = 1,
+    seed: int = GOLDEN_SEED, users: int = FIG7_USERS, runs: int = FIG7_RUNS
 ) -> str:
-    """Normalized trace of the Fig. 7 rekey-latency workload.
-
-    ``processes`` selects serial (1) or forked execution; the acceptance
-    contract is that the returned text is byte-identical either way."""
+    """Normalized trace of the Fig. 7 rekey-latency workload."""
     from ..experiments.latency_experiments import run_latency_experiment
-    from ..experiments.parallel import ParallelRunner
 
     with tracing(seed=seed, label="golden-fig7") as ctx:
         run_latency_experiment(
             "Fig 7 (traced)", "gtitm", users, mode="rekey",
-            runs=runs, seed=seed, runner=ParallelRunner(processes=processes),
+            runs=runs, seed=seed,
         )
     return ctx.render()
 

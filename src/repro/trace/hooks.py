@@ -9,10 +9,9 @@ SessionPlan`, :meth:`repro.alm.reliable.ReliableSession.multicast`,
 the ``run()`` of every :class:`repro.net.scheduling.Scheduler` backend
 (:meth:`repro.net.eventloop.EventLoop.run` emits the ``sim.run`` span —
 the hook is keyed on the scheduling interface, not the backend name),
-:class:`repro.distributed.
-harness.DistributedGroup`, and :meth:`repro.experiments.parallel.
-ParallelRunner.map` — read the slot once per session/run/batch and do
-nothing further when it is ``None``, so the bench lane pays one
+and :class:`repro.distributed.harness.DistributedGroup` — read the slot
+once per session/run/batch and do nothing further when it is ``None``,
+so the bench lane pays one
 attribute load per *session*, never per event
 (``benchmarks/test_trace_overhead.py`` enforces this).
 
@@ -30,19 +29,16 @@ or, for CLI surfaces, ``python -m repro --trace=run.jsonl fig 7``.
 Determinism: span IDs are creation-order integers, every attribute is a
 deterministic function of the scenario (simulated time, seeds, counts —
 never wall clock), and :meth:`TraceContext.render` sorts everything that
-is not inherently ordered.  Same seed => byte-identical normalized trace,
-including across serial vs :class:`~repro.experiments.parallel.
-ParallelRunner` execution (workers trace into fresh child contexts whose
-payloads merge back in task order).
+is not inherently ordered.  Same seed => byte-identical normalized trace.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .registry import MetricsRegistry
-from .spans import ROOT, TRACE_VERSION, Span, dumps, freeze_spans, thaw_spans
+from .spans import ROOT, TRACE_VERSION, Span, dumps
 
 #: The installed context; hot paths read this directly.
 ACTIVE: Optional["TraceContext"] = None
@@ -108,7 +104,6 @@ class TraceContext:
         self.reliable_traced = 0
         self.batches_traced = 0
         self.intervals_traced = 0
-        self.tasks_merged = 0
         # str(Id) builds a string per call; members recur across sessions
         # (and as upstreams within one), so memoize per context.
         self._id_strs: Dict[Any, str] = {}
@@ -294,65 +289,6 @@ class TraceContext:
         self.registry.inc("distributed.intervals")
 
     # ------------------------------------------------------------------
-    # Parallel-worker merge (repro.experiments.parallel)
-    # ------------------------------------------------------------------
-    def worker_config(self) -> Dict[str, Any]:
-        """Constructor kwargs for the per-task child contexts workers
-        trace into."""
-        return {"seed": self.seed, "label": self.label, "hops": self.hops}
-
-    def freeze(self) -> Dict[str, Any]:
-        """A picklable payload of everything recorded so far (spans,
-        metrics, tallies) — what a forked worker ships back."""
-        return {
-            "spans": freeze_spans(self.spans),
-            "metrics": self.registry.snapshot(),
-            "tallies": (
-                self.sessions_traced,
-                self.reliable_traced,
-                self.batches_traced,
-                self.intervals_traced,
-                self.tasks_merged,
-            ),
-        }
-
-    def merge_payload(self, payload: Dict[str, Any], index: int) -> None:
-        """Graft one task's frozen trace under a ``parallel.task`` span.
-
-        Span IDs are renumbered by a constant offset so the merged trace
-        depends only on task order — identical for serial and forked
-        execution."""
-        task_span = self._new_span(
-            "parallel.task", self._current(), {"index": index}
-        )
-        base = len(self.spans)
-        for span in thaw_spans(payload["spans"]):
-            parent = (
-                task_span.span_id if span.parent == ROOT else base + span.parent
-            )
-            self.spans.append(
-                Span(base + span.span_id, parent, span.name, span.attrs)
-            )
-        self.registry.merge_snapshot(payload["metrics"])
-        sessions, reliable, batches, intervals, tasks = payload["tallies"]
-        self.sessions_traced += sessions
-        self.reliable_traced += reliable
-        self.batches_traced += batches
-        self.intervals_traced += intervals
-        self.tasks_merged += tasks + 1
-
-    def merge_task_results(
-        self, pairs: Sequence[Tuple[Any, Dict[str, Any]]]
-    ) -> List[Any]:
-        """Unwrap ``(result, frozen trace)`` pairs in task order, merging
-        each trace; returns the bare results."""
-        results: List[Any] = []
-        for index, (result, payload) in enumerate(pairs):
-            self.merge_payload(payload, index)
-            results.append(result)
-        return results
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def normalized_lines(self) -> List[str]:
@@ -379,7 +315,6 @@ class TraceContext:
             f"traced {self.sessions_traced} session(s), "
             f"{self.reliable_traced} reliable run(s), "
             f"{self.batches_traced} key-tree batch(es), "
-            f"{self.intervals_traced} interval(s), "
-            f"{self.tasks_merged} parallel task(s): "
+            f"{self.intervals_traced} interval(s): "
             f"{len(self.spans)} span(s), {len(self.registry)} metric(s)"
         )

@@ -77,7 +77,7 @@ class _Histogram:
 
 
 class MetricsRegistry:
-    """A process-local metrics store with snapshot/merge support.
+    """A process-local metrics store.
 
     Counters accumulate, gauges keep the last value set, histograms keep
     fixed-bucket counts plus sum and count.  All three are keyed by
@@ -156,46 +156,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-    # ------------------------------------------------------------------
-    # Snapshot / merge (crosses fork boundaries via pickle)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "counters": tuple(
-                (name, labels, value)
-                for (name, labels), value in self._counters.items()
-            ),
-            "gauges": tuple(
-                (name, labels, value)
-                for (name, labels), value in self._gauges.items()
-            ),
-            "histograms": tuple(
-                (name, labels, h.buckets, tuple(h.counts), h.total, h.count)
-                for (name, labels), h in self._histograms.items()
-            ),
-        }
-
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        for name, labels, value in snap["counters"]:
-            key = (name, tuple(labels))
-            self._counters[key] = self._counters.get(key, 0) + value
-        for name, labels, value in snap["gauges"]:
-            self._gauges[(name, tuple(labels))] = value
-        for name, labels, buckets, counts, total, count in snap["histograms"]:
-            key = (name, tuple(labels))
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = _Histogram(tuple(buckets))
-                self._histograms[key] = hist
-            elif hist.buckets != tuple(buckets):
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: bucket mismatch"
-                )
-            for i, c in enumerate(counts):
-                hist.counts[i] += c
-            hist.total += total
-            hist.count += count
 
     # ------------------------------------------------------------------
     # Export

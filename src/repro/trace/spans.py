@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 #: Serialization format version, bumped when the normalized byte layout
 #: changes (golden fixtures must be regenerated then).
@@ -115,19 +115,3 @@ def span_depths(spans: List[Span]) -> Dict[int, int]:
             0 if span.parent == ROOT else depths[span.parent] + 1
         )
     return depths
-
-
-def freeze_spans(spans: List[Span]) -> Tuple[Tuple[int, int, str, Tuple[Tuple[str, Any], ...]], ...]:
-    """A picklable, immutable snapshot of a span list (used to ship a
-    forked worker's trace back to the parent process)."""
-    return tuple(
-        (s.span_id, s.parent, s.name, tuple(sorted(s.attrs.items())))
-        for s in spans
-    )
-
-
-def thaw_spans(frozen) -> List[Span]:
-    return [
-        Span(span_id, parent, name, dict(attrs))
-        for span_id, parent, name, attrs in frozen
-    ]

@@ -4,9 +4,7 @@ Every checker in :mod:`repro.verify` reduces a failed proof obligation to
 one or more :class:`ViolationReport` records: which checker fired, which
 paper statement it enforces, the offending IDs, the session seed, and a
 minimal repro snippet.  :class:`InvariantViolation` carries a batch of
-reports across any boundary — including ``fork``-based worker processes,
-whose exceptions must survive a pickle round-trip intact (see
-``tests/test_parallel_failures.py``).
+reports and survives a pickle round-trip with every report intact.
 
 This module deliberately imports nothing from the rest of the package so
 the hot paths (``repro.core.tmesh``) can import the hook layer without
@@ -58,9 +56,9 @@ def _render_reports(reports: Sequence[ViolationReport], context: str) -> str:
 class InvariantViolation(Exception):
     """A batch of invariant violations, raised by the verification layer.
 
-    The exception pickles by reconstructing itself from its reports, so a
-    violation raised inside a forked :class:`~repro.experiments.parallel.
-    ParallelRunner` worker reaches the parent with every report intact.
+    The exception pickles by reconstructing itself from its reports;
+    without that, the default exception pickle would rebuild it from
+    ``args`` and read the rendered message's characters as its reports.
     """
 
     def __init__(

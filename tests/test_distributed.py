@@ -116,7 +116,7 @@ class TestMulticastOnTheWire:
         world.end_interval(at=5000.0)
         world.run()
         leaver = world.users[2]
-        assert world.network.node_at(2) is not leaver  # detached
+        assert world.transport.node_at(2) is not leaver  # detached
         assert leaver not in world.active_users()
         # and nobody's table still carries it
         assert world.check_one_consistency() == []
@@ -213,7 +213,7 @@ class TestFailureDetection:
 
     def test_crash_detected_and_purged(self):
         world = self._converged_world()
-        t = world.simulator.now
+        t = world.scheduler.now
         world.schedule_crash(3, at=t + 100.0)
         # two probe rounds (failure_threshold = 2), spaced past timeouts
         world.schedule_probe_round(at=t + 200.0)
@@ -228,7 +228,7 @@ class TestFailureDetection:
 
     def test_single_missed_round_is_not_a_failure(self):
         world = self._converged_world(seed=13)
-        t = world.simulator.now
+        t = world.scheduler.now
         world.schedule_probe_round(at=t + 100.0)
         world.end_interval(at=t + 20_000.0)
         world.run()
@@ -240,7 +240,7 @@ class TestFailureDetection:
 
     def test_detectors_notify_server(self):
         world = self._converged_world(seed=17)
-        t = world.simulator.now
+        t = world.scheduler.now
         world.schedule_crash(5, at=t + 50.0)
         world.schedule_probe_round(at=t + 100.0)
         world.schedule_probe_round(at=t + 12_000.0)
@@ -252,7 +252,7 @@ class TestFailureDetection:
 
     def test_multicast_complete_after_detection(self):
         world = self._converged_world(seed=19)
-        t = world.simulator.now
+        t = world.scheduler.now
         world.schedule_crash(2, at=t + 50.0)
         world.schedule_crash(7, at=t + 60.0)
         world.schedule_probe_round(at=t + 100.0)

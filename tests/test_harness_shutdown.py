@@ -50,7 +50,7 @@ def converge(world: DistributedGroup, rounds: int = 8) -> None:
         world.run()
         if not world.check_one_consistency():
             return
-        now = world.simulator.now
+        now = world.scheduler.now
         server = world.server
         if (
             server._pending_joins
@@ -81,7 +81,7 @@ class TestServerRetryExhaustion:
         assert not node.joined
         assert node.max_server_retries == 3
         assert node.stats.server_retries == 3
-        assert world.simulator.pending == 0  # nothing left ticking
+        assert world.scheduler.pending == 0  # nothing left ticking
 
     def test_leave_request_exhaustion_keeps_the_member_registered(self):
         """Requests to the server start vanishing *after* the group
@@ -129,13 +129,13 @@ class TestCrashMidInterval:
         # eviction so the server-side record rotates out too.
         server = world.server
         if server._pending_leaves or server._pending_replacements:
-            world.end_interval(at=world.simulator.now + 10.0)
+            world.end_interval(at=world.scheduler.now + 10.0)
             world.run()
             converge(world)
 
     def assert_rotated_out(self, world: DistributedGroup) -> None:
         crashed = world.users[self.CRASH_HOST]
-        assert world.network.node_at(self.CRASH_HOST) is not crashed
+        assert world.transport.node_at(self.CRASH_HOST) is not crashed
         active = world.active_users()
         assert self.CRASH_HOST not in {u.host for u in active}
         assert len(active) == 4

@@ -220,7 +220,7 @@ def test_cli_shipped_tree_is_clean():
 
 
 @pytest.mark.parametrize(
-    "family", ["determinism", "hooks", "layering", "fork", "api", "flow"]
+    "family", ["determinism", "hooks", "layering", "api", "flow"]
 )
 def test_cli_badtree_fails_per_family(family):
     """Exit 2 on the bad-fixture canaries, one run per rule family."""

@@ -288,71 +288,6 @@ def test_experiments_importing_core_is_fine():
 
 
 # ----------------------------------------------------------------------
-# fork safety
-# ----------------------------------------------------------------------
-def test_lambda_to_pool_map_flagged():
-    found = check_source(
-        "def f(runner, tasks):\n"
-        "    return runner.map(lambda t: t + 1, tasks)\n",
-        relpath="repro/experiments/driver.py",
-    )
-    assert "fork-unpicklable" in rules_of(found)
-
-
-def test_nested_def_to_pool_map_flagged_module_level_clean():
-    bad = check_source(
-        "def f(runner, tasks, ctx):\n"
-        "    def worker(t):\n"
-        "        return ctx(t)\n"
-        "    return runner.map(worker, tasks)\n",
-        relpath="repro/experiments/driver.py",
-    )
-    assert "fork-unpicklable" in rules_of(bad)
-    good = check_source(
-        "def worker(t):\n"
-        "    return t + 1\n"
-        "def f(runner, tasks):\n"
-        "    return runner.map(worker, tasks)\n",
-        relpath="repro/experiments/driver.py",
-    )
-    assert not good
-
-
-def test_builtin_map_with_lambda_not_flagged():
-    found = check_source(
-        "def f(xs):\n"
-        "    return list(map(lambda x: x + 1, xs))\n",
-        relpath="repro/experiments/driver.py",
-    )
-    assert not found
-
-
-def test_fork_boundary_class_without_slots_flagged():
-    source = "class Carrier:\n    def __init__(self):\n        self.x = 1\n"
-    found = check_source(source, relpath="repro/experiments/parallel.py")
-    assert "fork-slots" in rules_of(found)
-    # Same class elsewhere: not on the boundary, no finding.
-    assert not check_source(source, relpath="repro/experiments/driver.py")
-    # dataclass(slots=True) and explicit __slots__ both satisfy it.
-    assert not check_source(
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True, slots=True)\n"
-        "class Carrier:\n"
-        "    x: int\n",
-        relpath="repro/experiments/parallel.py",
-    )
-
-
-def test_exception_classes_exempt_from_slots():
-    found = check_source(
-        "class CarrierError(Exception):\n"
-        "    pass\n",
-        relpath="repro/verify/report.py",
-    )
-    assert "fork-slots" not in rules_of(found)
-
-
-# ----------------------------------------------------------------------
 # api hygiene
 # ----------------------------------------------------------------------
 def test_mutable_default_flagged_none_clean():
@@ -399,8 +334,6 @@ BADTREE_EXPECTED = {
     "repro/core/bad_hook_unguarded.py": "hook-unguarded",
     "repro/core/bad_layering.py": "layering-import",
     "repro/distributed/bad_service_import.py": "layering-import",
-    "repro/experiments/bad_fork_map.py": "fork-unpicklable",
-    "repro/experiments/parallel.py": "fork-slots",
     "repro/core/bad_mutable_default.py": "api-mutable-default",
     "repro/core/bad_bare_except.py": "api-bare-except",
     "repro/core/bad_suppression.py": "lint-suppress",

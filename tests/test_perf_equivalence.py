@@ -2,7 +2,7 @@
 
 Every optimization in the perf overhaul — cached IDs, dense RTT
 matrices, batched Dijkstra, indexed session metrics, reusable session
-plans, batched table fills, and the parallel experiment runner — claims
+plans, and batched table fills — claims
 to be *semantically invisible*: same values, bit for bit, as the scalar
 or sequential code it replaces.  This module is where those claims are
 enforced, including under fault injection (``pytest -m faults``).
@@ -21,10 +21,8 @@ from repro.core.ids import Id, NULL_ID, PAPER_SCHEME
 from repro.core.neighbor_table import NeighborTable, UserRecord
 from repro.core.tmesh import plan_session, rekey_session, run_multicast
 from repro.experiments.common import build_group, build_topology
-from repro.experiments.latency_experiments import run_latency_experiment
-from repro.experiments.parallel import ParallelRunner, replication_seeds
+from repro.experiments.latency_experiments import replication_seeds
 from repro.faults import FaultPlan
-from repro.metrics.export import write_latency_comparison
 from repro.net.topology import Topology, validate_rtt_matrix
 from repro.perf import percentile_linear
 
@@ -381,41 +379,10 @@ def test_row_primaries_cache_invalidated_on_mutation():
 
 
 # ----------------------------------------------------------------------
-# ParallelRunner: byte-identical to the serial path
+# Replication seeds: the schedule every latency figure's runs follow
 # ----------------------------------------------------------------------
 def test_replication_seeds_are_stable():
     assert replication_seeds(7, 3) == [1007, 2007, 3007]
-
-
-def test_parallel_runner_byte_identical_to_serial(tmp_path):
-    kwargs = dict(mode="rekey", runs=3, seed=7)
-    serial = run_latency_experiment("Fig 7", "gtitm", 32, **kwargs)
-    parallel = run_latency_experiment(
-        "Fig 7", "gtitm", 32, runner=ParallelRunner(processes=2), **kwargs
-    )
-    for scheme_name in ("tmesh", "nice"):
-        s = getattr(serial, scheme_name)
-        p = getattr(parallel, scheme_name)
-        for metric in ("stress", "app_delay", "rdp"):
-            assert (
-                getattr(p, metric).mean.tobytes()
-                == getattr(s, metric).mean.tobytes()
-            )
-            assert (
-                getattr(p, metric).p95.tobytes()
-                == getattr(s, metric).p95.tobytes()
-            )
-
-    serial_paths = write_latency_comparison(str(tmp_path / "serial"), serial)
-    parallel_paths = write_latency_comparison(
-        str(tmp_path / "parallel"), parallel
-    )
-    assert serial_paths.keys() == parallel_paths.keys()
-    for key in serial_paths:
-        with open(serial_paths[key], "rb") as f_serial, open(
-            parallel_paths[key], "rb"
-        ) as f_parallel:
-            assert f_serial.read() == f_parallel.read()
 
 
 # ----------------------------------------------------------------------

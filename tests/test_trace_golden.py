@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.trace import GOLDEN_TRACES, compare_traces
-from repro.trace.golden import fig7_trace, rekey256_trace
+from repro.trace.golden import rekey256_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,16 +50,6 @@ def test_rekey256_two_runs_identical():
     """Same seed, two runs, identical bytes — the determinism contract
     the fixtures rest on."""
     assert rekey256_trace() == rekey256_trace()
-
-
-def test_fig7_parallel_matches_fixture():
-    """The Fig. 7 workload traced across two forked workers renders the
-    same bytes as the committed (serial) fixture: per-task child traces
-    merge in task order, independent of the degree of parallelism."""
-    expected = read_fixture("trace_fig7.jsonl")
-    actual = fig7_trace(processes=2)
-    problems = compare_traces(expected, actual)
-    assert not problems, "\n".join(["parallel fig7 diverged:"] + problems)
 
 
 def test_trace_header_names_workload():

@@ -13,7 +13,7 @@ Three families:
   FaultPlan` — the trace never invents or loses traffic.
 
 Plus deterministic unit properties of the metrics registry itself
-(histogram bookkeeping, fork-merge, Prometheus rendering).
+(histogram bookkeeping, gauges, Prometheus rendering).
 """
 
 import pytest
@@ -185,31 +185,6 @@ class TestRegistryProperties:
         assert record["sum"] == pytest.approx(sum(values))
         # Bucket counts partition the observations.
         assert sum(record["counts"]) == len(values)
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["a", "b", "c"]), st.integers(1, 100), max_size=3
-        ),
-        st.dictionaries(
-            st.sampled_from(["a", "b", "c"]), st.integers(1, 100), max_size=3
-        ),
-    )
-    def test_merge_snapshot_is_addition(self, first, second):
-        """Merging a worker snapshot adds counters key-wise — the fork
-        transport loses nothing."""
-        left, right, combined = (
-            MetricsRegistry(),
-            MetricsRegistry(),
-            MetricsRegistry(),
-        )
-        for name, value in first.items():
-            left.inc(name, value)
-            combined.inc(name, value)
-        for name, value in second.items():
-            right.inc(name, value)
-            combined.inc(name, value)
-        left.merge_snapshot(right.snapshot())
-        assert left.jsonl_lines() == combined.jsonl_lines()
 
     def test_gauge_last_write_wins(self):
         registry = MetricsRegistry()

@@ -427,6 +427,31 @@ class TestReports:
         assert "a,Thm 1,d1,x y,1,r1" in lines[1]
         assert lines[2].startswith("b,Lemma 2,d2")
 
+    def test_violation_pickles_with_every_report(self):
+        import pickle
+
+        reports = [
+            ViolationReport(
+                checker="exactly-once",
+                citation="Theorem 1",
+                detail="2 member(s) received duplicate copies",
+                offending_ids=("[0,1,2]", "[0,1,3]"),
+                seed=42,
+                repro="python tools/check_invariants.py --seed 42",
+            ),
+            ViolationReport(
+                checker="differential-oracle",
+                citation="Theorem 1 (delivery-tree uniqueness)",
+                detail="edge count 11 != reference 10",
+            ),
+        ]
+        violation = InvariantViolation(reports, context="task 2")
+        clone = pickle.loads(pickle.dumps(violation))
+        assert clone.reports == violation.reports
+        assert clone.checkers == ("exactly-once", "differential-oracle")
+        assert clone.context == "task 2"
+        assert str(clone) == str(violation)
+
 
 # ----------------------------------------------------------------------
 # CLI surface

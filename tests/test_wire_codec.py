@@ -285,11 +285,20 @@ def _imports(path: pathlib.Path):
             yield node.module
 
 
+def _importers(root: pathlib.Path, packages):
+    """Modules under ``root`` importing any of the top-level ``packages``."""
+    return [
+        str(path.relative_to(SRC))
+        for path in sorted(root.rglob("*.py"))
+        if any(name.split(".")[0] in packages for name in _imports(path))
+    ]
+
+
 @pytest.mark.parametrize("package", ["service", "keytree"])
 def test_no_pickle_import(package):
-    offenders = [
-        str(path.relative_to(SRC))
-        for path in sorted((SRC / package).rglob("*.py"))
-        if any(name.split(".")[0] == "pickle" for name in _imports(path))
-    ]
-    assert offenders == []
+    assert _importers(SRC / package, {"pickle"}) == []
+
+
+def test_no_process_pool_import():
+    """Replications run in process: nothing under ``src/repro`` forks."""
+    assert _importers(SRC, {"multiprocessing", "concurrent"}) == []
