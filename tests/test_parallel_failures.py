@@ -1,144 +1,11 @@
-"""Failure paths of the parallel replication runner.
+"""The replication schedule of the latency figures.
 
-The equivalence suite proves ParallelRunner's results are byte-identical
-to the serial loop; these tests pin down what happens when a worker does
-*not* finish: Python-level exceptions (including a verification
-InvariantViolation, which must arrive with every report intact), hard
-worker death, and the empty-task edge case.
+Replications run in process, one after another; each is a pure function
+of its own seed.  The schedule of those seeds is pinned here so that a
+figure's runs stay the same runs whatever executes them.
 """
 
-import os
-
-import pytest
-from concurrent.futures.process import BrokenProcessPool
-
-from repro.experiments.parallel import (
-    ParallelRunner,
-    replication_seeds,
-    worker_context,
-)
-from repro.verify import InvariantViolation, ViolationReport
-
-
-# ----------------------------------------------------------------------
-# Workers must be module-level: the executor pickles them per chunk.
-# ----------------------------------------------------------------------
-def _square(task):
-    return task * task
-
-
-def _context_echo(task):
-    return (task, worker_context())
-
-
-def _explode_on_three(task):
-    if task == 3:
-        raise ValueError(f"task {task} exploded")
-    return task
-
-
-def _die_hard_on_two(task):
-    if task == 2:
-        os._exit(17)  # bypasses all exception handling, kills the worker
-    return task
-
-
-def _violate_on_two(task):
-    if task == 2:
-        raise InvariantViolation(
-            [
-                ViolationReport(
-                    checker="exactly-once",
-                    citation="Theorem 1",
-                    detail="2 member(s) received duplicate copies",
-                    offending_ids=("[0,1,2]", "[0,1,3]"),
-                    seed=42,
-                    repro="python tools/check_invariants.py --seed 42",
-                ),
-                ViolationReport(
-                    checker="differential-oracle",
-                    citation="Theorem 1 (delivery-tree uniqueness)",
-                    detail="edge count 11 != reference 10",
-                ),
-            ],
-            context=f"worker task {task}",
-        )
-    return task
-
-
-class TestEmptyAndSerial:
-    def test_empty_task_list_returns_empty(self):
-        assert ParallelRunner(processes=4).map(_square, []) == []
-
-    def test_empty_task_list_does_not_touch_context(self):
-        runner = ParallelRunner(processes=4)
-        assert runner.map(_context_echo, [], context="ctx") == []
-        assert worker_context() is None
-
-    def test_serial_exception_propagates_and_clears_context(self):
-        runner = ParallelRunner(processes=1)
-        with pytest.raises(ValueError, match="task 3 exploded"):
-            runner.map(_explode_on_three, [1, 2, 3, 4], context="ctx")
-        assert worker_context() is None
-
-
-class TestWorkerExceptions:
-    def test_worker_exception_propagates(self):
-        runner = ParallelRunner(processes=2)
-        with pytest.raises(ValueError, match="task 3 exploded"):
-            runner.map(_explode_on_three, [1, 2, 3, 4])
-
-    def test_worker_exception_clears_context(self):
-        runner = ParallelRunner(processes=2)
-        with pytest.raises(ValueError):
-            runner.map(_explode_on_three, [1, 2, 3, 4], context="ctx")
-        assert worker_context() is None
-
-    def test_results_ordered_when_no_worker_fails(self):
-        runner = ParallelRunner(processes=3)
-        assert runner.map(_square, list(range(20))) == [
-            n * n for n in range(20)
-        ]
-
-
-class TestHardWorkerDeath:
-    def test_dead_worker_raises_broken_pool_instead_of_hanging(self):
-        runner = ParallelRunner(processes=2)
-        with pytest.raises(BrokenProcessPool):
-            runner.map(_die_hard_on_two, [1, 2, 3, 4])
-
-    def test_dead_worker_still_clears_context(self):
-        runner = ParallelRunner(processes=2)
-        with pytest.raises(BrokenProcessPool):
-            runner.map(_die_hard_on_two, [1, 2, 3, 4], context="ctx")
-        assert worker_context() is None
-
-
-class TestViolationPropagation:
-    def test_violation_crosses_process_boundary_with_reports(self):
-        runner = ParallelRunner(processes=2)
-        with pytest.raises(InvariantViolation) as exc_info:
-            runner.map(_violate_on_two, [1, 2, 3, 4])
-        violation = exc_info.value
-        assert violation.checkers == ("exactly-once", "differential-oracle")
-        first = violation.reports[0]
-        assert first.citation == "Theorem 1"
-        assert first.offending_ids == ("[0,1,2]", "[0,1,3]")
-        assert first.seed == 42
-        assert first.repro == "python tools/check_invariants.py --seed 42"
-        assert violation.reports[1].detail == "edge count 11 != reference 10"
-        # The rendered message must survive the round-trip too.
-        assert "duplicate copies" in str(violation)
-
-    def test_violation_identical_to_serial_raise(self):
-        serial = ParallelRunner(processes=1)
-        with pytest.raises(InvariantViolation) as serial_info:
-            serial.map(_violate_on_two, [1, 2, 3, 4])
-        parallel = ParallelRunner(processes=2)
-        with pytest.raises(InvariantViolation) as parallel_info:
-            parallel.map(_violate_on_two, [1, 2, 3, 4])
-        assert parallel_info.value.reports == serial_info.value.reports
-        assert str(parallel_info.value) == str(serial_info.value)
+from repro.experiments.latency_experiments import replication_seeds
 
 
 class TestReplicationSeeds:
