@@ -98,9 +98,11 @@ class NeighborTable:
         # for the same rows once per session, and tables don't change
         # mid-session.
         self._primaries_cache: Dict[int, List[Tuple[int, UserRecord]]] = {}
-        # Hot-path constants for slot_of.
+        # Hot-path constants for slot_of and admits.  The server has no
+        # digits, so no record's first digit matches its ``_own_first``.
         self._server_flag = owner.user_id.is_null
         self._own_digits = owner.user_id.digits
+        self._own_first = self._own_digits[0] if self._own_digits else -1
         self._depth = scheme.num_digits
 
     # ------------------------------------------------------------------
@@ -178,6 +180,36 @@ class NeighborTable:
         if i >= self._depth:
             return None  # the owner itself (or a duplicate ID)
         return (i, rd[i])
+
+    def admits(self, user_id: Id, rtt: float) -> Optional[Tuple[int, int]]:
+        """The reject test of :meth:`insert`, touching nothing: the slot an
+        offer of ``user_id`` at ``rtt`` would land in, or ``None`` when the
+        table turns it away as it stands — a K-full entry whose K-th RTT
+        is ``<= rtt``, an ID the entry already holds, or the owner's own ID.
+
+        Further offers only lower a full entry's K-th RTT, so a rejection
+        stands after them; a held ID stands rejected unless it is evicted
+        and then offered below its old RTT.  A batch can therefore drop
+        rejected offers up front and land the rest with :meth:`fill`.  The
+        K-full test comes first because it hashes no ID.  Most user IDs
+        differ from the owner's in digit 0, and those take the row-0 slot
+        without the prefix walk.
+        """
+        first = user_id.digits[0]
+        if first != self._own_first:
+            slot = (0, first)
+        else:
+            slot = self.slot_of(user_id)
+            if slot is None:
+                return None
+        e = self._entries.get(slot)
+        if e is not None:
+            neighbors = e.neighbors
+            if len(neighbors) >= self.k and rtt >= neighbors[-1][0]:
+                return None
+            if user_id in e.ids:
+                return None
+        return slot
 
     def contains(self, user_id: Id) -> bool:
         e = self._entries.get(self.slot_of(user_id))

@@ -45,6 +45,16 @@ against Section 2.4):
                         bound MUST trip, while heartbeats stop at
                         ``heartbeat_rounds`` per edge and the queue
                         drains.
+* ``member-upkeep``   — lossy churn on the message-level protocol (5 %
+                        drops, IDs handed out again, recovery rounds
+                        and refill sweeps) run twice: members applying
+                        updates through the batch path and through the
+                        per-record reference of
+                        ``tests/test_member_upkeep_equivalence.py``.
+                        The per-interval state digests must be equal
+                        and the tables must end 1-consistent.  Includes
+                        its own canary: a batch that forgets its lazy
+                        pings MUST change the digest.
 * ``sharded-scale``   — the 10k rung of the scale ladder under full
                         verification: the dense object path (trie-derived
                         tables, differential oracle included) against the
@@ -504,6 +514,60 @@ def scenario_lossy_repair(seed: int, users: int) -> str:
             f"heartbeats = {rounds} rounds x {members} edges, queue drained)")
 
 
+def scenario_member_upkeep(seed: int, users: int) -> str:
+    from repro.distributed.nodes import UserNode
+    from repro.verify.report import ViolationReport
+    from tests.test_member_upkeep_equivalence import (
+        ReferenceUserNode,
+        digest,
+        reused_ids,
+        run_churn,
+    )
+
+    def violation(checker: str, detail: str) -> InvariantViolation:
+        return InvariantViolation(
+            [
+                ViolationReport(
+                    checker=checker,
+                    citation="Definition 3 (1-consistent member tables)",
+                    detail=detail,
+                    seed=seed,
+                    repro="PYTHONPATH=src python tools/check_invariants.py "
+                    f"--only member-upkeep --seed {seed}",
+                )
+            ]
+        )
+
+    class ForgetsLazyPings(UserNode):
+        """A batch that measures a host it never probed without keeping
+        the measurement or counting the ping pair."""
+
+        def _offer(self, records) -> None:
+            measured, pings = dict(self.measured), self.stats.pings_sent
+            super()._offer(records)
+            self.measured, self.stats.pings_sent = measured, pings
+
+    batch, world = run_churn(seed, lossy=True)
+    want = digest(run_churn(seed, ReferenceUserNode, lossy=True)[0])
+    got = digest(batch)
+    if got != want:
+        raise violation(
+            "member-upkeep",
+            f"batch digest {got[:12]} != per-record reference {want[:12]}",
+        )
+    problems = world.check_one_consistency()
+    if problems:
+        raise violation("member-upkeep", "; ".join(problems[:4]))
+    if digest(run_churn(seed, ForgetsLazyPings, lossy=True)[0]) == want:
+        raise violation(
+            "member-upkeep-canary",
+            "a batch that forgets its lazy pings matched the reference",
+        )
+    return (f"{len(world.intervals)} intervals, {world.fault_stats.drops} drops, "
+            f"{reused_ids(world)} reused IDs, digest {got[:12]}... == "
+            "reference, 1-consistent; canary tripped")
+
+
 def scenario_sharded_scale(seed: int, users: int) -> str:
     """The 10k rung of the scale ladder under full verification
     (docs/PERFORMANCE.md, "Scale ladder").
@@ -616,6 +680,7 @@ SCENARIOS = [
     ("split-definition", scenario_split_definition, False),
     ("secure-close", scenario_secure_close, False),
     ("lossy-repair", scenario_lossy_repair, False),
+    ("member-upkeep", scenario_member_upkeep, False),
     ("sharded-scale", scenario_sharded_scale, False),
     ("corruption-canary", scenario_corruption_canary, True),
 ]
