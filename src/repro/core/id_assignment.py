@@ -24,7 +24,7 @@ The paper's parameters: ``P = 10``, ``F = 90``-percentile,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,35 @@ PAPER_PERCENTILE = 90.0
 #: Signature of the query service: ``query(responder, target_prefix)``
 #: returns the records, among the responder's neighbors, whose IDs carry
 #: the target prefix (Section 3.1.1).
-QueryFn = Callable[[UserRecord, Id], List[UserRecord]]
+QueryFn = Callable[[UserRecord, Id], Sequence[UserRecord]]
+
+
+def choose_digit(
+    pool_rtts: Iterable[Tuple[int, Sequence[float]]],
+    percentile: float,
+    threshold: float,
+    percentiles: Optional[Dict[int, float]] = None,
+) -> Optional[int]:
+    """Step 3, the one digit rule: given ``(j, RTTs)`` per collected
+    ``(i, j)``-subtree pool, take the F-percentile of each pool
+    (:func:`~repro.perf.percentile_linear`), keep the first pool with
+    the smallest one, and accept its digit iff that percentile is
+    ``<= threshold`` (``R_{i+1}``); ``None`` means "stop here and let
+    the key server assign the rest".  A pool without RTTs has no
+    percentile and is skipped.  ``percentiles``, when given, receives
+    each pool's F-percentile."""
+    best_digit, best_value = None, float("inf")
+    for digit, rtts in pool_rtts:
+        if not len(rtts):
+            continue
+        f = percentile_linear(rtts, percentile)
+        if percentiles is not None:
+            percentiles[digit] = f
+        if f < best_value:
+            best_digit, best_value = digit, f
+    if best_digit is not None and best_value <= threshold:
+        return best_digit
+    return None
 
 
 @dataclass
@@ -141,43 +169,25 @@ class IdAssigner:
             chosen=None,
             queries=self._last_query_count,
         )
-        # Steps 2 & 3: gateway-to-gateway RTTs and the percentile rule.
-        # The per-pool pings are batched (r(u, w) = h(u,w) - h(u,gw_u) -
+        # Steps 2 & 3: gateway-to-gateway RTTs and the digit rule.  The
+        # per-pool pings are batched (r(u, w) = h(u,w) - h(u,gw_u) -
         # h(w,gw_w), floored at zero, with the scalar path's operand
-        # order), and the F-percentile uses the exact scalar equivalent of
-        # np.percentile's linear method.
-        best_digit, best_value = None, float("inf")
-        for j, pool in pools.items():
-            if not pool:
-                continue
-            records = list(pool.values())
-            end_to_end = topology.rtt_many(
-                joiner_host, [rec.host for rec in records]
-            )
-            access = np.array(
-                [rec.access_rtt for rec in records], dtype=np.float64
-            )
-            rtts = np.maximum(0.0, (end_to_end - joiner_access_rtt) - access)
-            f_ij = percentile_linear(rtts, self.percentile)
-            decision.percentiles[j] = f_ij
-            if f_ij < best_value:
-                best_digit, best_value = j, f_ij
-        if best_digit is not None and best_value <= self.thresholds[i]:
-            decision.chosen = best_digit
-        return decision
+        # order).
+        def pool_rtts():
+            for j, pool in pools.items():
+                records = list(pool.values())
+                end_to_end = topology.rtt_many(
+                    joiner_host, [rec.host for rec in records]
+                )
+                access = np.array(
+                    [rec.access_rtt for rec in records], dtype=np.float64
+                )
+                yield j, np.maximum(0.0, (end_to_end - joiner_access_rtt) - access)
 
-    def _gateway_rtt(
-        self,
-        joiner_host: int,
-        joiner_access_rtt: float,
-        record: UserRecord,
-        topology: Topology,
-    ) -> float:
-        """``r(u, w)`` from Section 3.1.2, computed the way a real joiner
-        would: the end-to-end ping RTT minus the two access RTTs (the
-        remote one read from the user record)."""
-        end_to_end = topology.rtt(joiner_host, record.host)
-        return max(0.0, end_to_end - joiner_access_rtt - record.access_rtt)
+        decision.chosen = choose_digit(
+            pool_rtts(), self.percentile, self.thresholds[i], decision.percentiles
+        )
+        return decision
 
     # ------------------------------------------------------------------
     def _collect(

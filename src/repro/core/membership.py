@@ -90,21 +90,16 @@ class Group:
     # ------------------------------------------------------------------
     # The query service of Section 3.1.1
     # ------------------------------------------------------------------
-    def query(self, responder: UserRecord, target_prefix: Id) -> List[UserRecord]:
+    def query(
+        self, responder: UserRecord, target_prefix: Id
+    ) -> Sequence[UserRecord]:
         """A user's response to an ID-assignment query: all the neighbors
-        in its table whose IDs have the target prefix."""
+        in its table whose IDs have the target prefix
+        (:meth:`NeighborTable.records_with_prefix`)."""
         table = self.tables.get(responder.user_id)
         if table is None:
-            return []
-        tp = target_prefix.digits
-        n = len(tp)
-        if n == 0:
-            return list(table.all_records())
-        return [
-            record
-            for record in table.all_records()
-            if record.user_id.digits[:n] == tp
-        ]
+            return ()
+        return table.records_with_prefix(target_prefix.digits)
 
     # ------------------------------------------------------------------
     # Join

@@ -93,11 +93,20 @@ class NeighborTable:
         self._entries: Dict[Tuple[int, int], _Entry] = {}
         # Flat snapshot of all records, rebuilt lazily after mutations so
         # query() sweeps do not re-walk the entry dict each time.
-        self._records_cache: Optional[List[UserRecord]] = None
+        self._records_cache: Optional[Tuple[UserRecord, ...]] = None
         # Per-row primaries, rebuilt lazily after mutations: FORWARD asks
         # for the same rows once per session, and tables don't change
         # mid-session.
         self._primaries_cache: Dict[int, List[Tuple[int, UserRecord]]] = {}
+        # Records of rows ``n`` and above, per ``n``: the answer to every
+        # query whose prefix the owner's ID carries (records_with_prefix).
+        # Paired with the ``_records_cache`` tuple it was built beside and
+        # used only while that tuple is current, so code that drops
+        # ``_records_cache`` without ``_invalidate`` drops it too.
+        self._rows_from_cache: Tuple[
+            Optional[Tuple[UserRecord, ...]],
+            Optional[Dict[int, Tuple[UserRecord, ...]]],
+        ] = (None, None)
         # Hot-path constants for slot_of and admits.  The server has no
         # digits, so no record's first digit matches its ``_own_first``.
         self._server_flag = owner.user_id.is_null
@@ -216,15 +225,71 @@ class NeighborTable:
         return e is not None and user_id in e.ids
 
     def all_records(self) -> Iterator[UserRecord]:
+        return iter(self._records())
+
+    def _records(self) -> Tuple[UserRecord, ...]:
         cache = self._records_cache
         if cache is None:
-            cache = [
-                record
-                for e in self._entries.values()
-                for _, record in e.neighbors
-            ]
+            cache = tuple(
+                [record for e in self._entries.values() for _, record in e.neighbors]
+            )
             self._records_cache = cache
-        return iter(cache)
+        return cache
+
+    def records_with_prefix(
+        self, digits: Tuple[int, ...]
+    ) -> Tuple[UserRecord, ...]:
+        """Every record whose ID starts with ``digits``, in
+        :meth:`all_records` order: the Section 3.1.1 query service.
+
+        Only entries the prefix can match are read.  With ``lcp`` the
+        length of the common prefix of the owner's ID and ``digits``, a
+        prefix that leaves the owner's subtree (``lcp < len(digits)``)
+        can match only the ``(lcp, digits[lcp])``-entry; a prefix the
+        owner's ID carries matches every record of rows ``len(digits)``
+        and above, and nothing else.  The server's owner ID is null, so
+        its table answers the empty prefix with everything and any other
+        prefix from one row-0 entry.  Cached answers are shared; callers
+        must not mutate them.
+        """
+        n = len(digits)
+        lcp = 0
+        for a, b in zip(self._own_digits, digits):
+            if a != b:
+                break
+            lcp += 1
+        if lcp < n:
+            e = self._entries.get((lcp, digits[lcp]))
+            if e is None:
+                return ()
+            if lcp + 1 == n:  # the entry's subtree is the prefix's
+                return tuple([record for _, record in e.neighbors])
+            return tuple(
+                [r for _, r in e.neighbors if r.user_id.digits[:n] == digits]
+            )
+        records = self._records()
+        if n == 0:
+            return records
+        built_beside, by_row = self._rows_from_cache
+        if built_beside is not records:
+            by_row = {}
+            self._rows_from_cache = (records, by_row)
+        found = by_row.get(n)
+        if found is None:
+            found = by_row[n] = tuple(
+                [
+                    record
+                    for (row, _), e in self._entries.items()
+                    if row >= n
+                    for _, record in e.neighbors
+                ]
+            )
+        return found
+
+    def slots(self) -> Iterator[Tuple[int, int]]:
+        """The ``(i, j)`` of every entry holding a record, in creation
+        order (an entry left empty is dropped)."""
+        return iter(self._entries)
 
     def num_neighbors(self) -> int:
         return sum(len(e.neighbors) for e in self._entries.values())
@@ -234,6 +299,7 @@ class NeighborTable:
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
         self._records_cache = None
+        self._rows_from_cache = (None, None)
         self._primaries_cache.clear()
         NeighborTable._mutation_epoch += 1
 

@@ -4,6 +4,7 @@ simulated times, run rekey intervals, and audit the emergent state.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -207,42 +208,65 @@ class DistributedGroup:
         """1-consistency of the emergent tables (what Theorem 1 needs):
         for every active user, each (i, j)-entry is non-empty iff the
         corresponding ID subtree has other members, every stored record
-        belongs to the right subtree, and no departed user lingers."""
+        belongs to the right subtree, and no departed user lingers.
+
+        Only slots that can hold a finding are visited: per row, the
+        populated child digits of the user's level-i ancestor and the
+        row's non-empty entries.  Findings come in (i, j) order."""
         problems: List[str] = []
         active = self.active_users()
         tree = IdTree(self.scheme, [u.user_id for u in active])
         alive = {u.user_id for u in active}
         for user in active:
-            table = user.table
+            table, own = user.table, user.user_id
+            filled: Dict[int, List[int]] = {}
+            for i, j in table.slots():
+                filled.setdefault(i, []).append(j)
             for i in range(self.scheme.num_digits):
-                for j in range(self.scheme.base):
-                    if j == user.user_id[i]:
-                        if table.entry(i, j):
+                stem = own.prefix(i)
+                digits = set(tree.child_digits(stem))
+                digits.update(filled.get(i, ()))
+                for j in sorted(digits):
+                    records = table.entry(i, j)
+                    if j == own[i]:
+                        if records:
                             problems.append(
-                                f"{user.user_id}: own-digit entry ({i},{j}) "
-                                "not empty"
+                                f"{own}: own-digit entry ({i},{j}) not empty"
                             )
                         continue
-                    subtree = tree.ij_subtree_root(user.user_id, i, j)
+                    subtree = stem.extend(j)
                     population = tree.subtree_size(subtree)
-                    records = table.entry(i, j)
                     if population and not records:
                         problems.append(
-                            f"{user.user_id}: entry ({i},{j}) empty but "
+                            f"{own}: entry ({i},{j}) empty but "
                             f"subtree has {population} members"
                         )
                     for record in records:
                         if record.user_id not in alive:
                             problems.append(
-                                f"{user.user_id}: stale record "
+                                f"{own}: stale record "
                                 f"{record.user_id} in ({i},{j})"
                             )
                         elif not subtree.is_prefix_of(record.user_id):
                             problems.append(
-                                f"{user.user_id}: record {record.user_id} "
+                                f"{own}: record {record.user_id} "
                                 f"outside subtree {subtree}"
                             )
         return problems
+
+    def duplicates_by_interval(self) -> Dict[int, Dict[Id, int]]:
+        """Per interval, the joined members that logged more than one
+        copy of it, with their counts: :meth:`delivery_report`'s
+        ``duplicates`` for every interval at once, in one pass over each
+        member's copy log.  An ID held twice (handed out again) names its
+        latest holder, as in :meth:`delivery_report`."""
+        holders = {u.user_id: u for u in self.users.values() if u.joined}
+        found: Dict[int, Dict[Id, int]] = {}
+        for user_id, user in holders.items():
+            for interval, count in Counter(user.copies_received).items():
+                if count > 1:
+                    found.setdefault(interval, {})[user_id] = count
+        return found
 
     def delivery_report(self, interval: int) -> Dict[str, object]:
         """How one interval's multicast went: who received it, copy

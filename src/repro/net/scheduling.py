@@ -163,13 +163,16 @@ class Transport:
             self.stats.dropped += 1
             return
         plan = self.fault_plan
-        if plan is None:
-            extra_delays: Tuple[float, ...] = (0.0,)
-        else:
-            extra_delays = plan.apply(src, dst, payload, self.scheduler.now)
-            if not extra_delays:
-                self.stats.dropped += 1
-                return
+        if plan is None:  # the loss-free path: one delivery, no extra delay
+            self.scheduler.schedule(
+                self.topology.one_way_delay(src, dst),
+                partial(self._dispatch, src, dst, payload, None),
+            )
+            return
+        extra_delays = plan.apply(src, dst, payload, self.scheduler.now)
+        if not extra_delays:
+            self.stats.dropped += 1
+            return
         delay = self.topology.one_way_delay(src, dst)
         deliver = partial(self._dispatch, src, dst, payload, plan)
         for extra in extra_delays:

@@ -2,9 +2,11 @@
 
 The ID-assignment protocol evaluates an F-percentile per candidate subtree
 for every digit of every join (Section 3.1.3).  The pools involved hold at
-most ``P = 10`` RTT samples, where ``np.percentile``'s generality (axis
-handling, out-of-band NaN checks, method dispatch) costs far more than the
-arithmetic itself.  This helper performs the same computation directly.
+most ``P = 10`` RTT samples (a few dozen after a wide response), where
+``np.percentile``'s generality (axis handling, out-of-band NaN checks,
+method dispatch) and even ``np.sort`` cost far more than the arithmetic
+itself.  This helper sorts a Python list and does the same arithmetic in
+Python floats, which are the same IEEE doubles.
 
 It must stay *bitwise identical* to numpy for 1-D input and scalar ``q``:
 the virtual index is ``(q / 100) * (n - 1)`` and the interpolation follows
@@ -27,8 +29,10 @@ def percentile_linear(values: Union[Sequence[float], np.ndarray], q: float) -> f
     Bitwise-equal to ``float(np.percentile(values, q))`` for finite input
     and ``0 <= q <= 100``.
     """
-    a = np.sort(np.asarray(values, dtype=np.float64))
-    n = a.shape[0]
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    a = sorted(values)
+    n = len(a)
     virtual = (q / 100.0) * (n - 1)
     lo = int(virtual)
     gamma = virtual - lo

@@ -238,8 +238,9 @@ class VerificationContext:
             )
             for problem in world.check_one_consistency()
         ]
+        duplicates_by_interval = world.duplicates_by_interval()
         for index in range(len(world.intervals)):
-            duplicates = world.delivery_report(index)["duplicates"]
+            duplicates = duplicates_by_interval.get(index)
             if duplicates:
                 reports.append(
                     ViolationReport(
