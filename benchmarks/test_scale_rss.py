@@ -1,7 +1,7 @@
 """Peak-RSS guard for the scale-ladder rungs (docs/PERFORMANCE.md).
 
-Re-measures the peak resident set size of the 10k and 100k rungs — each
-in a fresh child process, because ``ru_maxrss`` is a process-lifetime
+Re-measures the peak resident set size of the 10k and 100k rungs and of
+the 64-member message-level join wave — each in a fresh child process, because ``ru_maxrss`` is a process-lifetime
 high-water mark — and fails when a peak exceeds
 :func:`benchmarks.conftest.limit` of the ``peak_rss_bytes`` committed in
 ``BENCH.json`` (+50 %).  Memory is far more stable than timing: the
@@ -21,7 +21,7 @@ Run with the bench lane::
 Refresh the committed bounds after intentional changes::
 
     python tools/perf_baseline.py --rss --only rekey_session_10k \
-        rekey_session_100k_stream rekey_session_1m_stream
+        rekey_session_100k_stream rekey_session_1m_stream distributed_join_64
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import pytest
 from benchmarks.conftest import committed, limit
 from repro.perf.rss import measure_peak_rss
 
-#: The rungs guarded on every bench run.
-GUARDED = ["rekey_session_10k", "rekey_session_100k_stream"]
+#: The rungs guarded on every bench run, and the message-level join wave
+#: (its footprint grows with whatever a joiner or responder caches).
+GUARDED = ["rekey_session_10k", "rekey_session_100k_stream", "distributed_join_64"]
 
 #: The opt-in rung and its hard ceiling (docs/PERFORMANCE.md).
 ONE_M = "rekey_session_1m_stream"

@@ -290,6 +290,31 @@ def _setup_build_group_256(ctx: dict) -> Callable[[], object]:
     )
 
 
+def _setup_distributed_join_64(ctx: dict) -> Callable[[], object]:
+    """64 message-level joins in one wave (1 ms apart, so their Section
+    3.1 phases overlap), then the close that announces them, on a pinned
+    small GT-ITM graph (independent of ``REPRO_SCALE``)."""
+    from ..distributed import DistributedGroup
+    from ..experiments.common import build_topology
+    from ..experiments.config import SMALL_GTITM
+
+    key = ("join_topology", 64)
+    if key not in ctx:
+        ctx[key] = build_topology("gtitm", 64, seed=20, gtitm_params=SMALL_GTITM)
+    topology = ctx[key]
+
+    def join_wave():
+        world = DistributedGroup(topology, server_host=64, seed=20)
+        for host in range(64):
+            world.schedule_join(host, at=1.0 + host)
+        world.run()
+        world.end_interval(at=world.scheduler.now + 1.0)
+        world.run()
+        return len(world.active_users())
+
+    return join_wave
+
+
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
@@ -302,6 +327,7 @@ WORKLOADS: Dict[str, Workload] = {
         Workload("modified_tree_batch", 10, _setup_modified_tree_batch),
         Workload("original_tree_batch", 10, _setup_original_tree_batch),
         Workload("id_assignment_join", 10, _setup_id_assignment_join),
+        Workload("distributed_join_64", 7, _setup_distributed_join_64),
         Workload("rekey_session_10k", 5, _setup_rekey_10k, micro=False),
         Workload(
             "rekey_session_100k_stream", 5, _setup_stream_rekey_100k, micro=False

@@ -1,19 +1,22 @@
-"""Differential test of a message-level member's table upkeep against the
-per-record code it replaced.
+"""Differential test of a message-level member's table upkeep and join
+phases against the per-record code they replaced.
 
 ``ReferenceUserNode`` carries that code verbatim: ``_insert`` measures
-and offers one record at a time, ``_on_query`` tests each record with
-``Id.is_prefix_of``.  It does carry two protocol fixes, which change
-behaviour and are pinned in ``test_distributed.py``: one refill query
-per vacated entry, and a leaver detaches only on the update that lists
-it.  ``ReferenceServerNode`` builds the server's table with one
-``insert`` per announced member.  The batch path
-(``UserNode._offer``: reject first, then one ``fill`` per entry) must
-leave every member's table, ``measured``, ``ProtocolStats``, tombstones
-and copy log equal to the reference's after every interval, and the
-world must send the same messages and fire the same events.  Both worlds
-are driven by one seeded schedule; a node becomes the reference by
-swapping its class, which adds no state.
+and offers one record at a time; the join phases scan the whole table
+per query, rescan every pool per response and take ``np.percentile``
+per pool; every copy is accounted by scanning the copy log.  It does
+carry two protocol fixes, which change behaviour and are pinned in
+``test_distributed.py``: one refill query per vacated entry, and a
+leaver detaches only on the update that lists it.
+``ReferenceServerNode`` builds the server's table with one ``insert``
+per announced member.  The current path (``UserNode._offer``: reject
+first, then one ``fill`` per entry; ``NeighborTable.records_with_prefix``;
+exhausted pools; ``choose_digit``; per-interval copy counts) must leave
+every member's ID, table, ``known``, ``measured``, unreachable hosts,
+``ProtocolStats``, tombstones and copy log equal to the reference's
+after every interval, and the world must send the same messages and
+fire the same events.  Both worlds are driven by one seeded schedule; a
+node becomes the reference by swapping its class, which adds no state.
 
 ``tools/check_invariants.py`` (scenario ``member-upkeep``) replays the
 lossy schedule below against the same reference and digests.
@@ -22,6 +25,7 @@ lossy schedule below against the same reference and digests.
 import dataclasses
 import hashlib
 import pickle
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -32,7 +36,8 @@ from repro.core.ids import Id, IdScheme, NULL_ID
 from repro.core.neighbor_table import NeighborTable, UserRecord
 from repro.distributed import DistributedGroup
 from repro.distributed import messages as m
-from repro.distributed.nodes import ServerNode, UserNode
+from repro.core.splitting import split_for_next_hop
+from repro.distributed.nodes import ServerNode, UserNode, _Phase
 from repro.experiments.common import _default_thresholds
 from repro.faults import FaultPlan
 from repro.net import TransitStubParams, TransitStubTopology
@@ -51,6 +56,173 @@ SMALL_SCHEME = IdScheme(num_digits=3, base=4)
 # The reference: the replaced code, verbatim
 # ----------------------------------------------------------------------
 class ReferenceUserNode(UserNode):
+    # -- join phases ----------------------------------------------------
+    def _start_phase(self, index: int, prefix: Id) -> None:
+        phase = _Phase(index=index, prefix=prefix)
+        self._phase = phase
+        seeds = [r for r in self.known.values() if prefix.is_prefix_of(r.user_id)]
+        for seed in seeds:
+            self._absorb(phase, seed)
+        if not seeds:  # nobody to ask: defer everything to the server
+            self._notify_server(prefix)
+            return
+        seed = next(
+            (s for s in seeds if s.host not in self._unreachable), seeds[0]
+        )
+        self._send_phase_query(phase, seed, prefix)
+
+    def _absorb(self, phase: _Phase, record: UserRecord) -> None:
+        if record.user_id == self.user_id:
+            return
+        if not phase.prefix.is_prefix_of(record.user_id):
+            return
+        self.known[record.user_id] = record
+        digit = record.user_id[phase.index]
+        phase.pools.setdefault(digit, {})[record.user_id] = record
+
+    def _on_query_response(self, response: m.QueryResponse) -> None:
+        kind = response.token[0]
+        if kind == "refill":
+            self._on_refill_response(response)
+            return
+        event = self._outstanding.pop(response.token, None)
+        if event is None:
+            return  # already timed out, or duplicate
+        event.cancel()
+        phase = self._phase
+        if phase is None or response.token[1] != phase.index:
+            return  # stale response from an earlier phase
+        for record in response.records:
+            self._absorb(phase, record)
+        phase.pending_queries -= 1
+        self._continue_collect(phase)
+
+    def _continue_collect(self, phase: _Phase) -> None:
+        if phase.stage != "collect":
+            return
+        for digit in list(phase.pools):
+            pool = phase.pools[digit]
+            if len(pool) < self.collect_target:
+                target = next(
+                    (
+                        r
+                        for uid, r in pool.items()
+                        if uid not in phase.queried
+                        and r.host not in self._unreachable
+                    ),
+                    None,
+                )
+                if target is not None:
+                    # one outstanding refinement per pool per round
+                    self._send_phase_query(
+                        phase, target, phase.prefix.extend(digit)
+                    )
+        if phase.pending_queries == 0:
+            self._start_measure(phase)
+
+    def _decide(self, phase: _Phase) -> None:
+        phase.stage = "done"
+        my_access = self.transport.topology.access_rtt(self.host)
+        best_digit, best_value = None, float("inf")
+        for digit, pool in phase.pools.items():
+            if not pool:
+                continue
+            rtts = [
+                max(
+                    0.0,
+                    self.measured.get(r.host, 0.0) - my_access - r.access_rtt,
+                )
+                for r in pool.values()
+            ]
+            f = float(np.percentile(rtts, self.percentile))
+            if f < best_value:
+                best_digit, best_value = digit, f
+        if best_digit is not None and best_value <= self.thresholds[phase.index]:
+            new_prefix = phase.prefix.extend(best_digit)
+            if phase.index + 1 <= self.scheme.num_digits - 2:
+                self._start_phase(phase.index + 1, new_prefix)
+            else:
+                self._notify_server(new_prefix)
+        else:
+            self._notify_server(phase.prefix)
+
+    def _on_query(self, src: int, query: m.QueryMsg) -> None:
+        matches: Tuple[UserRecord, ...] = ()
+        if self.table is not None:
+            # A digit-tuple slice test: the null prefix matches everything.
+            prefix = query.target_prefix.digits
+            n = len(prefix)
+            found = [
+                r for r in self.table.all_records() if r.user_id.digits[:n] == prefix
+            ]
+            if self.record is not None and self.record.user_id.digits[:n] == prefix:
+                found.append(self.record)
+            matches = tuple(found)
+        self.send(src, m.QueryResponse(matches, query.token))
+
+    # -- copy accounting --------------------------------------------------
+    def request_recovery(self) -> None:
+        if not self.joined:
+            return
+        seen = set(self.copies_received)
+        last = -1
+        while last + 1 in seen:
+            last += 1
+        self.stats.recovery_requests += 1
+        self.send(self.server_host, m.RecoverRequest(last))
+
+    def _on_recover_response(self, response: m.RecoverResponse) -> None:
+        for update in sorted(response.updates, key=lambda u: u.interval):
+            if update.interval in self.copies_received:
+                continue  # the multicast copy arrived after we asked
+            self.copies_received.append(update.interval)
+            self.encryptions_received[update.interval] = (
+                self.encryptions_received.get(update.interval, 0)
+                + len(update.encryptions)
+            )
+            self.stats.recovered_updates += 1
+            self._apply_update(update)
+            if self.transport.node_at(self.host) is not self:
+                return  # a recovered update announced our own departure
+
+    def _on_multicast(self, msg: m.MulticastMsg) -> None:
+        update = msg.payload
+        self.copies_received.append(update.interval)
+        self.stats.multicast_copies += 1
+        self.encryptions_received[update.interval] = (
+            self.encryptions_received.get(update.interval, 0)
+            + len(update.encryptions)
+        )
+        if self.copies_received.count(update.interval) > 1:
+            return  # duplicate: do not forward again (Theorem 1 says this
+            # cannot happen with consistent tables; counted for tests)
+
+        # FORWARD (Fig. 2) with per-hop splitting (Fig. 5).
+        level = msg.forward_level
+        if self.table is not None and level < self.scheme.num_digits:
+            for i in range(level, self.scheme.num_digits):
+                for _, nbr in self.table.row_primaries(i):
+                    self.send(
+                        nbr.host,
+                        m.MulticastMsg(
+                            m.MembershipUpdate(
+                                update.interval,
+                                update.joins,
+                                update.leaves,
+                                split_for_next_hop(
+                                    update.encryptions, nbr.user_id, i
+                                ),
+                                update.replacements,
+                            ),
+                            forward_level=i + 1,
+                        ),
+                    )
+
+        # Apply the membership changes *after* forwarding, so the whole
+        # multicast runs on one consistent table snapshot.
+        self._apply_update(update)
+
+    # -- table upkeep -----------------------------------------------------
     def _finalize(self, record: UserRecord) -> None:
         self.user_id = record.user_id
         self.record = record
@@ -74,21 +246,6 @@ class ReferenceUserNode(UserNode):
             self.measured[record.host] = rtt
             self.stats.pings_sent += 1
         self.table.insert(record, rtt)
-
-    def _on_query(self, src: int, query: m.QueryMsg) -> None:
-        matches = ()
-        if self.table is not None:
-            found = [
-                r
-                for r in self.table.all_records()
-                if query.target_prefix.is_prefix_of(r.user_id)
-            ]
-            if self.record is not None and query.target_prefix.is_prefix_of(
-                self.record.user_id
-            ):
-                found.append(self.record)
-            matches = tuple(found)
-        self.send(src, m.QueryResponse(matches, query.token))
 
     def _apply_update(self, update: m.MembershipUpdate) -> None:
         self._departed.update(update.leaves)
@@ -146,7 +303,9 @@ def member_state(world):
             host,
             node.user_id,
             table_state(node.table),
+            tuple(node.known.items()),
             tuple(node.measured.items()),
+            tuple(sorted(node._unreachable)),
             dataclasses.astuple(node.stats),
             tuple(sorted(node._departed)),
             tuple(node.copies_received),
@@ -166,20 +325,21 @@ def digest(states) -> str:
     return hashlib.sha256(pickle.dumps(states, protocol=4)).hexdigest()
 
 
-def churn(seed, node_cls=UserNode, *, lossy=False):
+def churn(seed, node_cls=UserNode, *, lossy=False, small=False):
     """Yield ``(member_state(world), world)`` after every interval of one
     seeded churn run whose user nodes are ``node_cls`` (the server is the
     reference one whenever the users are).
 
     Clean: 16 members under the paper's scheme, four intervals of three
     leaves and three joins, ``K`` cycling 1 / 2 / 4 with the seed.
-    Lossy: 30 members in a 64-ID space, five intervals of eight leaves
-    and eight joins through 5 % drops, with a recovery round and a
-    refill sweep after every close.  A last close announces late joins
-    (then, when lossy, loss-free recovery rounds and a sweep)."""
-    if lossy:
+    Small: 30 members in a 64-ID space, five intervals of eight leaves
+    and eight joins.  Lossy: the small schedule through 5 % drops, with
+    a recovery round and a refill sweep after every close.  A last close
+    announces late joins (then, when lossy, loss-free recovery rounds
+    and a sweep)."""
+    if lossy or small:
         scheme, hosts, members, burst, intervals = SMALL_SCHEME, 72, 30, 8, 5
-        plan = FaultPlan(seed=seed).drop(0.05)
+        plan = FaultPlan(seed=seed).drop(0.05) if lossy else None
         k = 2
     else:
         scheme, hosts, members, burst, intervals = None, 40, 16, 3, 4
@@ -190,7 +350,7 @@ def churn(seed, node_cls=UserNode, *, lossy=False):
     if scheme is not None:
         kwargs.update(scheme=scheme, thresholds=_default_thresholds(scheme))
     world = DistributedGroup(topology, server_host=hosts, **kwargs)
-    if node_cls is not UserNode:
+    if issubclass(node_cls, ReferenceUserNode):
         world.server.__class__ = ReferenceServerNode
 
     def join(host, at):
@@ -253,9 +413,12 @@ def reused_ids(world) -> int:
     return reused
 
 
-def assert_lockstep(seed, **kwargs):
-    batch = churn(seed, **kwargs)
-    reference = churn(seed, ReferenceUserNode, **kwargs)
+def assert_lockstep(seed, node_cls=UserNode, schedule=None, **kwargs):
+    """Run one seeded schedule (default :func:`churn`) with ``node_cls``
+    and with the reference, asserting equal state after every interval."""
+    schedule = schedule or churn
+    batch = schedule(seed, node_cls, **kwargs)
+    reference = schedule(seed, ReferenceUserNode, **kwargs)
     intervals = 0
     for (got, world), (want, _) in zip(batch, reference):
         assert got[1:] == want[1:], f"seed {seed}, interval {intervals}"

@@ -47,14 +47,16 @@ against Section 2.4):
                         drains.
 * ``member-upkeep``   — lossy churn on the message-level protocol (5 %
                         drops, IDs handed out again, recovery rounds
-                        and refill sweeps) run twice: members applying
-                        updates through the batch path and through the
-                        per-record reference of
-                        ``tests/test_member_upkeep_equivalence.py``.
+                        and refill sweeps) run twice: members joining
+                        and applying updates through the current path
+                        and through the per-record reference of
+                        ``tests/test_member_upkeep_equivalence.py``
+                        (join phases and copy accounting included).
                         The per-interval state digests must be equal
                         and the tables must end 1-consistent.  Includes
-                        its own canary: a batch that forgets its lazy
-                        pings MUST change the digest.
+                        two canaries: a batch that forgets its lazy
+                        pings and a collect loop that never reopens an
+                        exhausted pool MUST each change the digest.
 * ``sharded-scale``   — the 10k rung of the scale ladder under full
                         verification: the dense object path (trie-derived
                         tables, differential oracle included) against the
@@ -547,6 +549,15 @@ def scenario_member_upkeep(seed: int, users: int) -> str:
             super()._offer(records)
             self.measured, self.stats.pings_sent = measured, pings
 
+    class NeverReopensPools(UserNode):
+        """A collect loop that keeps a pool exhausted after a response
+        brought it records nobody has queried yet."""
+
+        def _absorb(self, phase, records) -> None:
+            exhausted = set(phase.exhausted)
+            super()._absorb(phase, records)
+            phase.exhausted |= exhausted
+
     batch, world = run_churn(seed, lossy=True)
     want = digest(run_churn(seed, ReferenceUserNode, lossy=True)[0])
     got = digest(batch)
@@ -558,14 +569,17 @@ def scenario_member_upkeep(seed: int, users: int) -> str:
     problems = world.check_one_consistency()
     if problems:
         raise violation("member-upkeep", "; ".join(problems[:4]))
-    if digest(run_churn(seed, ForgetsLazyPings, lossy=True)[0]) == want:
-        raise violation(
-            "member-upkeep-canary",
-            "a batch that forgets its lazy pings matched the reference",
-        )
+    for canary, what in (
+        (ForgetsLazyPings, "a batch that forgets its lazy pings"),
+        (NeverReopensPools, "a collect loop that never reopens a pool"),
+    ):
+        if digest(run_churn(seed, canary, lossy=True)[0]) == want:
+            raise violation(
+                "member-upkeep-canary", f"{what} matched the reference"
+            )
     return (f"{len(world.intervals)} intervals, {world.fault_stats.drops} drops, "
             f"{reused_ids(world)} reused IDs, digest {got[:12]}... == "
-            "reference, 1-consistent; canary tripped")
+            "reference, 1-consistent; both canaries tripped")
 
 
 def scenario_sharded_scale(seed: int, users: int) -> str:
