@@ -91,40 +91,32 @@ class DistributedGroup:
         members must detect it by missed pings (Section 3.2)."""
         self.scheduler.schedule_at(at, self.users[host].detach)
 
-    def schedule_probe_round(self, at: float) -> None:
-        """Every attached user runs one liveness-probe round at ``at``."""
+    def _schedule_each_member(self, at: float, action: str) -> None:
+        """Every attached user runs its ``action`` method at ``at``."""
 
         def fire() -> None:
             for user in self.users.values():
                 if self.transport.node_at(user.host) is user:
-                    user.probe_neighbors()
+                    getattr(user, action)()
 
         self.scheduler.schedule_at(at, fire)
+
+    def schedule_probe_round(self, at: float) -> None:
+        """Every attached user runs one liveness-probe round at ``at``."""
+        self._schedule_each_member(at, "probe_neighbors")
 
     def schedule_recovery_round(self, at: float) -> None:
         """Every attached member asks the server at ``at`` for interval
         announcements it missed (reference-[31] unicast recovery).  The
         request/response unicasts are themselves subject to any installed
         fault plan, so schedule a few rounds to converge under loss."""
-
-        def fire() -> None:
-            for user in self.users.values():
-                if self.transport.node_at(user.host) is user:
-                    user.request_recovery()
-
-        self.scheduler.schedule_at(at, fire)
+        self._schedule_each_member(at, "request_recovery")
 
     def schedule_refill_sweep(self, at: float) -> None:
         """Every attached user runs one anti-entropy refill round at
         ``at``, re-querying region mates for any empty table entry (the
         repair path for announcements lost to an installed fault plan)."""
-
-        def fire() -> None:
-            for user in self.users.values():
-                if self.transport.node_at(user.host) is user:
-                    user.refill_sweep()
-
-        self.scheduler.schedule_at(at, fire)
+        self._schedule_each_member(at, "refill_sweep")
 
     def end_interval(self, at: float) -> None:
         """Schedule an interval end (batch rekey + announcement)."""
@@ -177,14 +169,56 @@ class DistributedGroup:
             if ctx is not None and self.fault_plan is None:
                 ctx.observe_distributed(self)
 
+    def converge(self, rounds: int = 8, interval_ms: float = 512.0) -> int:
+        """Bounded protocol-only repair (Section 3.2 failure recovery plus
+        reference-[31] resync): drain, and while tables are not
+        1-consistent or a member misses an announced interval, run one
+        repair round and drain again, at most ``rounds`` times.  Returns
+        the rounds that found gaps.
+
+        A round flushes any pending announcement first, then probes
+        twice, runs a recovery round and sweeps refills, so the newest
+        interval's multicast (itself droppable) has its repair path
+        inside the same round; an announcement at the tail would mint a
+        fresh interval with no recovery behind it.  Probe evictions
+        queued in one round are announced by the next round's flush.
+        Needed under an installed fault plan, and on wall-clock drives
+        where a join's last message can land after the announcement that
+        should have carried it.  Every round is the protocol's own
+        traffic, not oracle intervention."""
+        server = self.server
+        for used in range(rounds):
+            self.run()
+            if not self.check_one_consistency() and not self.missing_intervals():
+                return used
+            now = self.scheduler.now
+            if (
+                server._pending_joins
+                or server._pending_leaves
+                or server._pending_replacements
+            ):
+                self.end_interval(at=now + 0.05 * interval_ms)
+            self.schedule_probe_round(at=now + 0.1 * interval_ms)
+            self.schedule_probe_round(at=now + 0.4 * interval_ms)
+            self.schedule_recovery_round(at=now + 0.7 * interval_ms)
+            self.schedule_refill_sweep(at=now + 0.8 * interval_ms)
+            self.run()
+        self.run()
+        return rounds
+
     def verify_invariants(self) -> None:
         """Audit the current world state with a one-shot verification
         context, raising :class:`repro.verify.InvariantViolation` on any
-        broken invariant.  Unlike the automatic post-:meth:`run` hook
-        this ignores the installed context and checks unconditionally."""
+        broken invariant: :meth:`~repro.verify.VerificationContext.
+        observe_distributed` (which picks the clean or the faulted
+        regime) plus Section-2.4 key-tree agreement.  Unlike the
+        automatic post-:meth:`run` hook this ignores the installed
+        context and checks unconditionally."""
         from ..verify import VerificationContext
 
-        VerificationContext(oracle=False).observe_distributed(self)
+        context = VerificationContext(oracle=False)
+        context.observe_distributed(self)
+        context.observe_key_tree(self.server.key_tree)
 
     @property
     def fault_stats(self) -> FaultStats:
@@ -267,6 +301,33 @@ class DistributedGroup:
                 if count > 1:
                     found.setdefault(interval, {})[user_id] = count
         return found
+
+    def missing_intervals(self) -> Dict[Id, List[int]]:
+        """Recovery completeness (reference [31]): per active member with
+        a gap, the announced intervals absent from its copy log.  A
+        member owes every interval from the update that announced its own
+        record (ID, host and join time) onward; an earlier holder of a
+        reused ID does not move that start back.  A member whose record
+        is not announced yet owes nothing."""
+        history = self.server._history
+        announced_at: Dict[object, int] = {}
+        for update in history:
+            for record in update.joins + update.replacements:
+                announced_at.setdefault(record, update.interval)
+        missing: Dict[Id, List[int]] = {}
+        for user in self.active_users():
+            start = announced_at.get(user.record)
+            if start is None:
+                continue
+            held = set(user.copies_received)
+            gaps = [
+                u.interval
+                for u in history
+                if u.interval >= start and u.interval not in held
+            ]
+            if gaps:
+                missing[user.user_id] = gaps
+        return missing
 
     def delivery_report(self, interval: int) -> Dict[str, object]:
         """How one interval's multicast went: who received it, copy

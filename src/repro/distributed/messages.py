@@ -120,6 +120,17 @@ class MembershipUpdate:
     encryptions: Tuple[Encryption, ...]
     replacements: Tuple[UserRecord, ...] = ()
 
+    def carrying(
+        self, encryptions: Tuple[Encryption, ...]
+    ) -> "MembershipUpdate":
+        """This update with another share of the rekey message (a per-hop
+        split or a Lemma-3 filter).  The membership tuples are passed on
+        as the same objects: ``wire.SectionMemo`` keys on their
+        identity."""
+        return MembershipUpdate(
+            self.interval, self.joins, self.leaves, encryptions, self.replacements
+        )
+
 
 @dataclass(frozen=True)
 class RecoverRequest:

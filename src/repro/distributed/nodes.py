@@ -256,16 +256,12 @@ class ServerNode(TransportNode):
             (uid for uid, r in self.records.items() if r.host == src), None
         )
         missed = tuple(
-            m.MembershipUpdate(
-                u.interval,
-                u.joins,
-                u.leaves,
+            u.carrying(
                 tuple(
                     e
                     for e in u.encryptions
                     if requester is not None and e.needed_by(requester)
-                ),
-                u.replacements,
+                )
             )
             for u in self._history
             if u.interval > msg.last_interval
@@ -318,12 +314,8 @@ class ServerNode(TransportNode):
             self.send(
                 nbr.host,
                 m.MulticastMsg(
-                    m.MembershipUpdate(
-                        update.interval,
-                        update.joins,
-                        update.leaves,
-                        split_for_next_hop(update.encryptions, nbr.user_id, 0),
-                        update.replacements,
+                    update.carrying(
+                        split_for_next_hop(update.encryptions, nbr.user_id, 0)
                     ),
                     forward_level=1,
                 ),
@@ -335,16 +327,12 @@ class ServerNode(TransportNode):
             self.send(
                 record.host,
                 m.MulticastMsg(
-                    m.MembershipUpdate(
-                        update.interval,
-                        update.joins,
-                        update.leaves,
+                    update.carrying(
                         tuple(
                             e
                             for e in update.encryptions
                             if e.needed_by(record.user_id)
-                        ),
-                        update.replacements,
+                        )
                     ),
                     forward_level=self.scheme.num_digits,
                 ),
@@ -997,14 +985,10 @@ class UserNode(TransportNode):
                     self.send(
                         nbr.host,
                         m.MulticastMsg(
-                            m.MembershipUpdate(
-                                update.interval,
-                                update.joins,
-                                update.leaves,
+                            update.carrying(
                                 split_for_next_hop(
                                     update.encryptions, nbr.user_id, i
-                                ),
-                                update.replacements,
+                                )
                             ),
                             forward_level=i + 1,
                         ),

@@ -52,24 +52,6 @@ from .aio import AsyncioScheduler
 from .transport import StreamTransport
 
 
-def expected_intervals(world) -> Dict[object, set]:
-    """Per-member recovery obligation: the announced interval numbers
-    from the interval that announced the member (its join — or, after an
-    ID replacement, the replacement) onward.  A member owes no copies of
-    announcements that predate its own membership."""
-    announced_at: Dict[object, int] = {}
-    for update in world.server._history:
-        for record in update.joins:
-            announced_at.setdefault(record.user_id, update.interval)
-        for record in update.replacements:
-            announced_at.setdefault(record.user_id, update.interval)
-    all_intervals = sorted(u.interval for u in world.server._history)
-    return {
-        uid: {i for i in all_intervals if i >= start}
-        for uid, start in announced_at.items()
-    }
-
-
 class RekeyService:
     """Key server + live member endpoints over asyncio streams."""
 
@@ -210,85 +192,17 @@ class RekeyService:
         return self.scheduler.quiescent
 
     def checkpoint(self) -> None:
-        """Quiescent audit against the :mod:`repro.verify` invariant
-        set.  Clean runs get the full distributed audit (1-consistency +
-        Theorem-1 exactly-once); under an installed fault plan the
-        theorems that hold are 1-consistency *after convergence* and
-        recovery completeness (every active member holds every announced
-        interval — reference-[31] recovery is the repair path), so those
-        are asserted instead.  Section-2.4 key-tree agreement is checked
-        in both regimes.  Raises ``InvariantViolation``; increments
-        :attr:`checkpoints_passed` otherwise."""
-        from ..verify import (
-            InvariantViolation,
-            VerificationContext,
-            ViolationReport,
-        )
-
-        world = self.world
-        if world.fault_plan is None:
-            VerificationContext(oracle=False).observe_distributed(world)
-        else:
-            reports = [
-                ViolationReport(
-                    checker="one-consistency",
-                    citation="Definition 3 (K=1) / Theorem 1",
-                    detail=problem,
-                    seed=self.seed,
-                )
-                for problem in world.check_one_consistency()
-            ]
-            expected = expected_intervals(world)
-            for user in world.active_users():
-                missing = expected.get(user.user_id, set()) - set(
-                    user.copies_received
-                )
-                if missing:
-                    reports.append(
-                        ViolationReport(
-                            checker="recovery-completeness",
-                            citation="reference [31] unicast recovery",
-                            detail=(
-                                f"{user.user_id} missing interval(s) "
-                                f"{sorted(missing)}"
-                            ),
-                            seed=self.seed,
-                        )
-                    )
-            if reports:
-                raise InvariantViolation(reports, "service checkpoint")
-        VerificationContext(oracle=False).observe_key_tree(
-            world.server.key_tree
-        )
+        """Quiescent audit against the :mod:`repro.verify` invariant set:
+        :meth:`DistributedGroup.verify_invariants`, whose regime follows
+        the installed fault plan.  Raises ``InvariantViolation``;
+        increments :attr:`checkpoints_passed` otherwise."""
+        self.world.verify_invariants()
         self.checkpoints_passed += 1
 
     def converge(self, rounds: int = 8, interval_ms: float = 512.0) -> int:
-        """Protocol-only convergence: repeat bounded repair rounds —
-        flush any pending announcement, probe twice, run reference-[31]
-        recovery, sweep refills — until tables are 1-consistent (or
-        ``rounds`` ran).  Needed because wire arrival can legitimately
-        straddle a timer boundary (a join's last message lands after the
-        announcement that should have carried it), which virtual-clock
-        drives never see.  Returns the rounds used; every round is the
-        protocol's own traffic, not oracle intervention."""
-        for attempt in range(rounds):
-            self.drain()
-            if not self.world.check_one_consistency():
-                return attempt
-            server = self.world.server
-            if (
-                server._pending_joins
-                or server._pending_leaves
-                or server._pending_replacements
-            ):
-                self.end_interval(delay=0.05 * interval_ms)
-            self.probe_round(delay=0.1 * interval_ms)
-            self.probe_round(delay=0.4 * interval_ms)
-            self.recovery_round(delay=0.7 * interval_ms)
-            self.refill_sweep(delay=0.8 * interval_ms)
-            self.drain()
-        self.drain()
-        return rounds
+        """Bounded protocol-only repair rounds until the checkpoint's
+        invariants hold: :meth:`DistributedGroup.converge`."""
+        return self.world.converge(rounds, interval_ms)
 
     def evict_absent_members(self) -> int:
         """Queue a leave for every registered member whose host has no

@@ -30,14 +30,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..faults.plan import FaultPlan
 from ..net.topology import Topology
 from ..trace import hooks as _trace_hooks
-from .server import RekeyService, expected_intervals
+from .server import RekeyService
 
 
 @dataclass(frozen=True)
@@ -322,60 +322,22 @@ class SoakHarness:
         service.drain()
 
     # ------------------------------------------------------------------
-    def _gaps(self) -> Tuple[List[str], int]:
-        """Outstanding inconsistencies: 1-consistency problems plus the
-        count of members still missing announced intervals."""
-        world = self.service.world
-        problems = world.check_one_consistency()
-        expected = expected_intervals(world)
-        missing = sum(
-            1
-            for u in world.active_users()
-            if expected.get(u.user_id, set()) - set(u.copies_received)
-        )
-        return problems, missing
-
     def _checkpoint(self) -> None:
-        """Converge, then audit.  Under chaos the protocol's own repair
+        """Converge, then audit.  A join whose protocol straddled an
+        interval boundary leaves tables legitimately unconverged until
+        the next announcement, and under chaos the protocol's own repair
         machinery (probe -> failure notice -> eviction, reference-[31]
         recovery, refill sweeps) needs bounded extra rounds before the
-        invariants are theorems again; each round is protocol traffic,
-        not oracle intervention."""
-        service = self.service
-        interval = self.interval_ms
-        # Convergence applies in both regimes: a join whose protocol
-        # straddled an interval boundary leaves tables legitimately
-        # unconverged until the next announcement; under chaos the same
-        # loop also gives probe/recovery/refill repair time to land.
-        # Ordering matters: any pending announcement flushes FIRST and
-        # the recovery round runs after it, so the newest interval's
-        # multicast — itself droppable — has its repair path inside the
-        # same round (an end_interval at the tail would mint a fresh
-        # announcement with no recovery behind it, and the loop would
-        # chase its own gaps).  Probe evictions queued this round are
-        # announced by the next round's flush.
-        for _ in range(self.MAX_CONVERGENCE_ROUNDS):
-            service.drain()
-            problems, missing = self._gaps()
-            if not problems and not missing:
-                break
-            self.report.convergence_rounds += 1
-            server = service.world.server
-            if (
-                server._pending_joins
-                or server._pending_leaves
-                or server._pending_replacements
-            ):
-                service.end_interval(delay=0.05 * interval)
-                self.report.intervals += 1
-            service.probe_round(delay=0.1 * interval)
-            service.probe_round(delay=0.4 * interval)
-            service.recovery_round(delay=0.7 * interval)
-            service.refill_sweep(delay=0.8 * interval)
-            service.drain()
-        service.drain()
+        invariants are theorems again (:meth:`DistributedGroup.
+        converge`)."""
+        world = self.service.world
+        intervals = len(world.intervals)
+        self.report.convergence_rounds += world.converge(
+            self.MAX_CONVERGENCE_ROUNDS, self.interval_ms
+        )
+        self.report.intervals += len(world.intervals) - intervals
         try:
-            service.checkpoint()
+            self.service.checkpoint()
             self.report.checkpoints += 1
         except Exception as exc:  # InvariantViolation: record, keep soaking
             self.report.violations.append(str(exc))

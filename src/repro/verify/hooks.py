@@ -224,8 +224,13 @@ class VerificationContext:
 
     def observe_distributed(self, world) -> None:
         """Check a quiescent :class:`~repro.distributed.harness.
-        DistributedGroup`: emergent 1-consistency plus duplicate-free
-        interval delivery."""
+        DistributedGroup` in one of two regimes.  Both report emergent
+        1-consistency.  Without a fault plan, interval delivery must also
+        be duplicate-free (Theorem 1 exactly-once).  Under an installed
+        fault plan a dropped copy is repaired by reference-[31] recovery,
+        not redelivered over the mesh, so recovery completeness (every
+        active member holds every interval since its own announcement)
+        takes exactly-once's place."""
         self.worlds_checked += 1
         repro = self._repro("distributed")
         reports = [
@@ -238,21 +243,33 @@ class VerificationContext:
             )
             for problem in world.check_one_consistency()
         ]
-        duplicates_by_interval = world.duplicates_by_interval()
-        for index in range(len(world.intervals)):
-            duplicates = duplicates_by_interval.get(index)
-            if duplicates:
+        if world.fault_plan is None:
+            duplicates_by_interval = world.duplicates_by_interval()
+            for index in range(len(world.intervals)):
+                duplicates = duplicates_by_interval.get(index)
+                if duplicates:
+                    reports.append(
+                        ViolationReport(
+                            checker="exactly-once",
+                            citation="Theorem 1",
+                            detail=(
+                                f"interval {index}: duplicate rekey copies "
+                                f"at {len(duplicates)} member(s)"
+                            ),
+                            offending_ids=tuple(
+                                str(uid) for uid in sorted(duplicates)
+                            ),
+                            seed=self.seed,
+                            repro=repro,
+                        )
+                    )
+        else:
+            for user_id, missing in world.missing_intervals().items():
                 reports.append(
                     ViolationReport(
-                        checker="exactly-once",
-                        citation="Theorem 1",
-                        detail=(
-                            f"interval {index}: duplicate rekey copies "
-                            f"at {len(duplicates)} member(s)"
-                        ),
-                        offending_ids=tuple(
-                            str(uid) for uid in sorted(duplicates)
-                        ),
+                        checker="recovery-completeness",
+                        citation="reference [31] unicast recovery",
+                        detail=f"{user_id} missing interval(s) {missing}",
                         seed=self.seed,
                         repro=repro,
                     )

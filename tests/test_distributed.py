@@ -448,3 +448,188 @@ class TestLossRecovery:
         world.run()
         # legitimately-empty entries draw empty responses; nothing changes
         assert world.check_one_consistency() == []
+
+
+class TestConverge:
+    """``DistributedGroup.converge``: bounded repair rounds until tables
+    are 1-consistent and every member holds every interval it owes."""
+
+    def _world_through_drop_window(self):
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(seed=0).drop(0.5, start=6000.0, end=12_000.0)
+        topology = TransitStubTopology(num_hosts=41, params=PARAMS, seed=5)
+        world = DistributedGroup(topology, server_host=40, seed=5, fault_plan=plan)
+        for i in range(16):
+            world.schedule_join(i, at=1.0 + 300.0 * i)
+        world.end_interval(at=5500.0)
+        for i in range(3):
+            world.schedule_leave_of_host(i, at=6000.0 + 100.0 * i)
+        for i in range(16, 19):
+            world.schedule_join(i, at=6050.0 + 100.0 * i)
+        world.end_interval(at=9000.0)
+        world.run()
+        return world
+
+    def test_converge_repairs_a_drop_window(self):
+        world = self._world_through_drop_window()
+        assert world.fault_stats.drops > 0
+        assert world.check_one_consistency() != []
+        assert world.missing_intervals() != {}
+        used = world.converge(rounds=8)
+        assert 0 < used < 8
+        assert world.check_one_consistency() == []
+        assert world.missing_intervals() == {}
+        world.verify_invariants()
+
+    def test_converged_world_uses_no_round(self):
+        world = make_world()
+        for i in range(6):
+            world.schedule_join(i, at=1.0 + 300.0 * i)
+        world.end_interval(at=5000.0)
+        assert world.converge() == 0
+        assert len(world.intervals) == 1
+
+
+class TestAuditRegimes:
+    """``observe_distributed`` picks the regime: exactly-once without a
+    fault plan, recovery completeness in its place under one."""
+
+    def _world(self, fault_plan=None):
+        topology = TransitStubTopology(num_hosts=41, params=PARAMS, seed=5)
+        world = DistributedGroup(
+            topology, server_host=40, seed=5, fault_plan=fault_plan
+        )
+        for i in range(6):
+            world.schedule_join(i, at=1.0 + 300.0 * i)
+        world.end_interval(at=5000.0)
+        world.schedule_join(6, at=6000.0)
+        world.end_interval(at=9000.0)
+        world.run()
+        world.verify_invariants()
+        return world
+
+    @staticmethod
+    def _checkers(world):
+        from repro.verify import InvariantViolation
+
+        with pytest.raises(InvariantViolation) as caught:
+            world.verify_invariants()
+        return {report.checker for report in caught.value.reports}
+
+    def test_faulted_regime_flags_a_lost_interval(self):
+        from repro.faults import FaultPlan
+
+        world = self._world(FaultPlan(seed=1).drop(0.0))
+        user = world.users[2]
+        user.copies_received.remove(1)
+        assert world.missing_intervals() == {user.user_id: [1]}
+        assert self._checkers(world) == {"recovery-completeness"}
+
+    def test_faulted_regime_does_not_report_exactly_once(self):
+        from repro.faults import FaultPlan
+
+        world = self._world(FaultPlan(seed=1).drop(0.0))
+        world.users[2].copies_received.append(1)
+        world.verify_invariants()
+
+    def test_clean_regime_flags_a_duplicated_copy(self):
+        world = self._world()
+        world.users[2].copies_received.append(1)
+        assert self._checkers(world) == {"exactly-once"}
+
+
+def small_scheme_churn(seed, intervals=4):
+    """30 members in a 64-ID space (``IdScheme(3, 4)``), then
+    ``intervals`` closes of eight leaves and eight joins, no faults.
+    The space is crowded enough that departed IDs are handed out
+    again."""
+    from repro.core.ids import IdScheme
+    from repro.experiments.common import _default_thresholds
+
+    scheme = IdScheme(num_digits=3, base=4)
+    hosts, members, burst = 72, 30, 8
+    topology = TransitStubTopology(num_hosts=hosts + 1, params=PARAMS, seed=seed)
+    world = DistributedGroup(
+        topology,
+        server_host=hosts,
+        scheme=scheme,
+        thresholds=_default_thresholds(scheme),
+        k=2,
+        seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    order = [int(h) for h in rng.permutation(hosts)]
+    for n, host in enumerate(order[:members]):
+        world.schedule_join(host, at=1.0 + 300.0 * n)
+    free = order[members:]
+    world.end_interval(at=300.0 * members + 2000.0)
+    world.run()
+    for _ in range(intervals):
+        t = world.scheduler.now
+        active = sorted(world.active_users(), key=lambda u: u.host)
+        chosen = rng.choice(len(active), min(burst, len(active)), replace=False)
+        leavers = [active[int(i)].host for i in sorted(chosen)]
+        for n, host in enumerate(leavers):
+            world.schedule_leave_of_host(host, at=t + 10.0 + 20.0 * n)
+        for n in range(burst):
+            world.schedule_join(free.pop(0), at=t + 15.0 + 300.0 * n)
+        world.end_interval(at=t + 300.0 * burst + 2000.0)
+        world.run()
+        free.extend(leavers)
+    return world
+
+
+def reused_id_holders(world):
+    """Live members whose ID an announcement listed as departed: holders
+    of an ID handed out again."""
+    departed = {uid for update in world.server._history for uid in update.leaves}
+    return [
+        u
+        for u in world.active_users()
+        if u.user_id in departed and u.user_id in world.server.records
+    ]
+
+
+class TestIdReuseRecovery:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_completeness_counts_from_the_holders_own_announcement(self, seed):
+        world = small_scheme_churn(seed)
+        announced = {}
+        for update in world.server._history:
+            for record in update.joins:
+                announced[record] = update.interval
+        holders = reused_id_holders(world)
+        assert holders
+        missing = world.missing_intervals()
+        for user in world.active_users():
+            if user.user_id in missing:
+                start = announced[user.record]
+                assert min(missing[user.user_id]) > start, user.user_id
+        if seed == 0:
+            # Announced at interval 2; defect 2 makes every table refuse
+            # the reused ID, so 3 and 4 are genuine gaps.
+            holder = next(u for u in holders if str(u.user_id) == "[0,2,0]")
+            assert announced[holder.record] == 2
+            assert missing[holder.user_id] == [3, 4]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP aim 3, item 1 (one member transition per update): "
+            "recovery replays history from the last contiguous interval, "
+            "so a reused-ID holder re-applies its predecessor's departure "
+            "and detaches"
+        ),
+    )
+    def test_recovery_round_keeps_reused_id_holders_attached(self):
+        world = small_scheme_churn(0)
+        holders = reused_id_holders(world)
+        world.schedule_recovery_round(at=world.scheduler.now + 100.0)
+        world.run()
+        detached = [
+            str(u.user_id)
+            for u in holders
+            if world.transport.node_at(u.host) is not u
+        ]
+        assert detached == []

@@ -81,6 +81,46 @@ class TestDeterministicSoak:
         assert first.messages_sent == second.messages_sent
         assert first.snapshot_bytes == second.snapshot_bytes
 
+    @pytest.mark.parametrize(
+        "kwargs, counters",
+        [
+            (
+                dict(
+                    seed=8,
+                    profile="steady",
+                    chaos=True,
+                    crash_every=3,
+                    checkpoint_every=2,
+                ),
+                (3, 11, 8117, 8247),
+            ),
+            (
+                dict(
+                    seed=7,
+                    profile="flash-crowd",
+                    chaos=True,
+                    restart_at_cycle=2,
+                    checkpoint_every=3,
+                ),
+                (1, 9, 9261, 9436),
+            ),
+        ],
+        ids=["steady-chaos", "flash-crowd-chaos-restart"],
+    )
+    def test_pinned_counters(self, kwargs, counters):
+        """The deterministic drive's counters, pinned: convergence
+        rounds, intervals, events and messages.  Regenerate them only
+        for an intentional behaviour change, and name that change, as
+        for the golden traces."""
+        report = run_soak(cycles=8, **kwargs)
+        assert report.violations == []
+        assert (
+            report.convergence_rounds,
+            report.intervals,
+            report.events,
+            report.messages_sent,
+        ) == counters
+
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_every_profile_soaks_clean(self, profile):
         report = run_soak(cycles=4, profile=profile, checkpoint_every=4)
