@@ -304,11 +304,12 @@ class DistributedGroup:
 
     def missing_intervals(self) -> Dict[Id, List[int]]:
         """Recovery completeness (reference [31]): per active member with
-        a gap, the announced intervals absent from its copy log.  A
-        member owes every interval from the update that announced its own
-        record (ID, host and join time) onward; an earlier holder of a
-        reused ID does not move that start back.  A member whose record
-        is not announced yet owes nothing."""
+        a gap, the announced intervals it does not hold.  A member holds
+        an interval it logged a copy of and applied in order (up to its
+        ``applied``).  It owes every interval from the update that
+        announced its own record (ID, host and join time) onward; an
+        earlier holder of a reused ID does not move that start back.  A
+        member whose record is not announced yet owes nothing."""
         history = self.server._history
         announced_at: Dict[object, int] = {}
         for update in history:
@@ -320,10 +321,12 @@ class DistributedGroup:
             if start is None:
                 continue
             held = set(user.copies_received)
+            applied = -1 if user.applied is None else user.applied
             gaps = [
                 u.interval
                 for u in history
-                if u.interval >= start and u.interval not in held
+                if u.interval >= start
+                and (u.interval not in held or u.interval > applied)
             ]
             if gaps:
                 missing[user.user_id] = gaps

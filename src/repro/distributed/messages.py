@@ -69,9 +69,11 @@ class PongMsg:
 class FailureNotice:
     """User -> server: a neighbor stopped answering consecutive pings
     (Section 3.2).  The server treats a confirmed failure like a leave at
-    the next interval end, so every table drops the dead record."""
+    the next interval end, so every table drops the dead record.  The
+    notice names the whole record, not the ID: a reporter that missed the
+    ID's departure may be probing an earlier holder of a reused ID."""
 
-    failed_user: Id
+    failed: UserRecord
     reporter: Id
 
 
@@ -85,12 +87,15 @@ class NotifyPrefix:
 @dataclass(frozen=True)
 class AssignedId:
     """Server -> user: your complete ID (and, in a full deployment, the
-    keys on your key-tree path).  ``departed`` lets the joiner purge
-    records it collected of users that left while its collection phases
-    were still running."""
+    keys on your key-tree path).  ``departed`` pairs every ID that ever
+    left with the join time below which its records are stale: the
+    current holder's, or infinity while the ID is free.  It lets the
+    joiner purge records it collected of users that left while its
+    collection phases were still running, and tell an ID's holder from
+    an earlier one."""
 
     record: UserRecord
-    departed: Tuple[Id, ...] = ()
+    departed: Tuple[Tuple[Id, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,16 @@ class MembershipUpdate:
         identity."""
         return MembershipUpdate(
             self.interval, self.joins, self.leaves, encryptions, self.replacements
+        )
+
+    def share_for(self, user_id: Optional[Id]) -> "MembershipUpdate":
+        """This update with the encryptions Lemma 3 says ``user_id`` needs
+        (none for an unknown member): what a unicast to one member
+        carries."""
+        if user_id is None:
+            return self.carrying(())
+        return self.carrying(
+            tuple(e for e in self.encryptions if e.needed_by(user_id))
         )
 
 

@@ -37,6 +37,9 @@ from ..keytree.modified_tree import ModifiedKeyTree
 from ..net.scheduling import Transport, TransportNode
 from . import messages as m
 
+#: The tombstone of an ID nobody holds: every record of it is stale.
+_FREE = float("inf")
+
 
 def _canonical(value):
     """Recursively rebuild ``value`` with order-independent containers
@@ -137,10 +140,11 @@ class ServerNode(TransportNode):
         # _announced in ID order, the bootstrap draw's population: sorted
         # by the first join request after an announcement, not by each.
         self._announced_order: Optional[List[Id]] = None
-        # Every ID that ever left: shipped with AssignedId so a joiner
-        # whose collection phases spanned an interval boundary can purge
-        # records of users that departed meanwhile (in a deployment the
-        # registrar validates the joiner's record set the same way).
+        # Every ID that ever left: shipped with AssignedId, with the join
+        # time of its current holder if any, so a joiner whose collection
+        # phases spanned an interval boundary can purge records of users
+        # that departed meanwhile (in a deployment the registrar validates
+        # the joiner's record set the same way).
         self._all_departed: Set[Id] = set()
         # Idempotency for the lossy key-server path: a duplicated
         # JoinRequest / NotifyPrefix (a client retry whose original
@@ -193,7 +197,14 @@ class ServerNode(TransportNode):
             return
         user_id = complete_user_id(self.id_tree, msg.determined_prefix, self.rng)
         record = self._register(src, user_id)
-        reply = m.AssignedId(record, tuple(self._all_departed))
+        records = self.records
+        reply = m.AssignedId(
+            record,
+            tuple(
+                (uid, records[uid].join_time if uid in records else _FREE)
+                for uid in self._all_departed
+            ),
+        )
         self._assigned_by_host[src] = reply
         self.send(src, reply)
 
@@ -221,7 +232,9 @@ class ServerNode(TransportNode):
             # blocks its recovery requests.
             for update in self._history:
                 if msg.user_id in update.leaves:
-                    self.send(src, m.RecoverResponse((update,)))
+                    self.send(
+                        src, m.RecoverResponse((update.share_for(msg.user_id),))
+                    )
                     break
             return
         if msg.user_id in self._pending_leaves:
@@ -234,8 +247,11 @@ class ServerNode(TransportNode):
     def _handle_failure_notice(self, msg: m.FailureNotice) -> None:
         """Section 3.2: a user reported a dead neighbor.  Process the
         failure as a leave at the interval end (without the leaver's own
-        replacement records — it is gone)."""
-        self.evict(msg.failed_user)
+        replacement records — it is gone).  Only the reported record is
+        evicted: a notice about an earlier holder of a reused ID leaves
+        the live holder alone."""
+        if self.records.get(msg.failed.user_id) == msg.failed:
+            self.evict(msg.failed.user_id)
 
     def evict(self, user_id: Id) -> bool:
         """Queue a member's departure without its cooperation — the
@@ -256,13 +272,7 @@ class ServerNode(TransportNode):
             (uid for uid, r in self.records.items() if r.host == src), None
         )
         missed = tuple(
-            u.carrying(
-                tuple(
-                    e
-                    for e in u.encryptions
-                    if requester is not None and e.needed_by(requester)
-                )
-            )
+            u.share_for(requester)
             for u in self._history
             if u.interval > msg.last_interval
         )
@@ -327,13 +337,7 @@ class ServerNode(TransportNode):
             self.send(
                 record.host,
                 m.MulticastMsg(
-                    update.carrying(
-                        tuple(
-                            e
-                            for e in update.encryptions
-                            if e.needed_by(record.user_id)
-                        )
-                    ),
+                    update.share_for(record.user_id),
                     forward_level=self.scheme.num_digits,
                 ),
             )
@@ -467,9 +471,16 @@ class UserNode(TransportNode):
         #: The log's per-interval counts, so a copy is accounted in O(1).
         self.copies_by_interval: Dict[int, int] = {}
         self.encryptions_received: Dict[int, int] = {}
+        #: The last interval applied in order; None until the update that
+        #: announces this member's own record (see :meth:`_apply_update`).
+        self.applied: Optional[int] = None
         self.leaving = False
         self.joined = False
-        self._departed: Set[Id] = set()  # IDs announced as left
+        #: Tombstones: an ID announced as left maps to the join time below
+        #: which its records are stale — infinity while the ID is free,
+        #: the new holder's join time once an announcement hands it out
+        #: again (join times are unique per registration and increase).
+        self._departed: Dict[Id, float] = {}
         self._leave_deferred = False  # leave requested before join finished
         #: Round-trip budget before a query/ping is written off (ms).
         self.timeout = 5000.0
@@ -557,7 +568,7 @@ class UserNode(TransportNode):
         elif isinstance(payload, m.AssignedId):
             self._on_assigned(payload)
         elif isinstance(payload, m.MulticastMsg):
-            self._on_multicast(payload)
+            self._apply_update(payload.payload, payload.forward_level)
         elif isinstance(payload, m.RecoverResponse):
             self._on_recover_response(payload)
 
@@ -647,7 +658,7 @@ class UserNode(TransportNode):
     def _on_query_response(self, response: m.QueryResponse) -> None:
         kind = response.token[0]
         if kind == "refill":
-            self._on_refill_response(response)
+            self._offer(response.records)
             return
         event = self._outstanding.pop(response.token, None)
         if event is None:
@@ -795,10 +806,12 @@ class UserNode(TransportNode):
 
     def _offer(self, records: Iterable[UserRecord]) -> None:
         """Offer records to the table with their measured RTTs, leaving
-        exactly what one ``insert`` per record in order would.  A host the
+        exactly what one ``insert`` per record in order would.  A record
+        older than its ID's tombstone (the ID announced as left, and not
+        handed to this record since) is stale, echoed by a racing query
+        response or a lagging table, and is not admitted.  A host the
         join phases never probed is measured by a lazy ping pair, unless
-        the record is this node's own or announced as departed (a stale
-        record echoed by a racing query response).
+        the record is this node's own or stale.
 
         Most offers change nothing: the entry is full of closer
         neighbours or already holds the ID.  So a measured record meets
@@ -821,7 +834,9 @@ class UserNode(TransportNode):
             user_id = record.user_id
             rtt = measured.get(record.host)
             if rtt is None:
-                if user_id == self.user_id or user_id in departed:
+                if user_id == self.user_id or (
+                    user_id in departed and record.join_time < departed[user_id]
+                ):
                     continue
                 rtt = self.transport.topology.rtt(self.host, record.host)
                 measured[record.host] = rtt
@@ -831,7 +846,9 @@ class UserNode(TransportNode):
                     continue
             else:
                 slot = admits(user_id, rtt)
-                if slot is None or user_id in departed:
+                if slot is None or (
+                    user_id in departed and record.join_time < departed[user_id]
+                ):
                     continue
             slots.setdefault(slot, []).append((record, rtt))
         for slot, pairs in slots.items():
@@ -875,13 +892,10 @@ class UserNode(TransportNode):
             return
         self._miss_counts.pop(record.user_id, None)
         self._unreachable.add(record.host)
-        self._departed.add(record.user_id)
+        self._departed[record.user_id] = _FREE
         if self.table.remove(record.user_id):
             self.stats.failures_detected += 1
-            self.send(
-                self.server_host,
-                m.FailureNotice(record.user_id, self.user_id),
-            )
+            self.send(self.server_host, m.FailureNotice(record, self.user_id))
             slot = self.table.slot_for(record)
             if not self.table.entry(*slot):
                 self._refill(*slot)
@@ -891,40 +905,34 @@ class UserNode(TransportNode):
     # ------------------------------------------------------------------
     def request_recovery(self) -> None:
         """Ask the server for every interval announcement after the last
-        one this node saw.  A member whose multicast copy was dropped
+        one this node holds.  A member whose multicast copy was dropped
         misses the whole batch — joins, leaves, and its share of the
         rekey message — and this unicast path restores all of it.  Run
-        it periodically (or after an interval-number gap is observed);
-        the request and response are themselves subject to the fault
+        it periodically; a multicast copy past a gap runs it at once.
+        The request and response are themselves subject to the fault
         plan, so repeated rounds converge.  A *leaving* member still
         polls: once its departure is announced it receives no more
         multicasts (it is out of every table), so if it missed the
-        final announcement this unicast is its only way to learn it —
-        applying the recovered update that lists it detaches the node
-        (:meth:`_apply_update`)."""
+        final announcement this unicast is its only way to learn it.
+
+        The request names the last interval the copy log holds
+        contiguously from the start, never past ``applied``: a member
+        that joined mid-history also learns the records announced before
+        it (all a joiner whose phases found no one has to go on), and one
+        that has not applied its own announcement asks for everything."""
         if not self.joined:
             return
-        # Report the last *contiguously* seen interval: a member that
-        # joined mid-history holds {1} and still needs interval 0's
-        # membership (collect phases run under the same lossy network).
-        seen = self.copies_by_interval
         last = -1
-        while last + 1 in seen:
-            last += 1
+        applied = self.applied
+        if applied is not None:
+            seen = self.copies_by_interval
+            while last < applied and last + 1 in seen:
+                last += 1
         self.stats.recovery_requests += 1
         self.send(self.server_host, m.RecoverRequest(last))
 
     def _on_recover_response(self, response: m.RecoverResponse) -> None:
         for update in sorted(response.updates, key=lambda u: u.interval):
-            if update.interval in self.copies_by_interval:
-                continue  # the multicast copy arrived after we asked
-            self.copies_received.append(update.interval)
-            self.copies_by_interval[update.interval] = 1
-            self.encryptions_received[update.interval] = (
-                self.encryptions_received.get(update.interval, 0)
-                + len(update.encryptions)
-            )
-            self.stats.recovered_updates += 1
             self._apply_update(update)
             if self.transport.node_at(self.host) is not self:
                 return  # a recovered update announced our own departure
@@ -961,45 +969,89 @@ class UserNode(TransportNode):
         self.send(src, m.QueryResponse(matches, query.token))
 
     # ------------------------------------------------------------------
-    # T-mesh multicast: FORWARD + REKEY-MESSAGE-SPLIT on the wire
+    # The member transition: every copy of an interval's update
     # ------------------------------------------------------------------
-    def _on_multicast(self, msg: m.MulticastMsg) -> None:
-        update = msg.payload
+    def _log_copy(self, update: m.MembershipUpdate, multicast: bool) -> int:
+        """Account one copy of ``update`` and return how many copies of
+        its interval came before it.  Every T-mesh copy is logged (the
+        Theorem-1 audits count them); a recovered copy only when its
+        interval has none yet, so recovery never makes a duplicate."""
         interval = update.interval
+        seen = self.copies_by_interval.get(interval, 0)
+        if multicast:
+            self.stats.multicast_copies += 1
+        elif seen:
+            return seen
+        else:
+            self.stats.recovered_updates += 1
         self.copies_received.append(interval)
-        copies = self.copies_by_interval.get(interval, 0) + 1
-        self.copies_by_interval[interval] = copies
-        self.stats.multicast_copies += 1
+        self.copies_by_interval[interval] = seen + 1
         self.encryptions_received[interval] = (
             self.encryptions_received.get(interval, 0) + len(update.encryptions)
         )
-        if copies > 1:
-            return  # duplicate: do not forward again (Theorem 1 says this
-            # cannot happen with consistent tables; counted for tests)
+        return seen
 
-        # FORWARD (Fig. 2) with per-hop splitting (Fig. 5).
-        level = msg.forward_level
-        if self.table is not None and level < self.scheme.num_digits:
-            for i in range(level, self.scheme.num_digits):
-                for _, nbr in self.table.row_primaries(i):
-                    self.send(
-                        nbr.host,
-                        m.MulticastMsg(
-                            update.carrying(
-                                split_for_next_hop(
-                                    update.encryptions, nbr.user_id, i
-                                )
-                            ),
-                            forward_level=i + 1,
+    def _apply_update(
+        self, update: m.MembershipUpdate, forward_level: Optional[int] = None
+    ) -> None:
+        """The one transition every copy of an update enters: a T-mesh
+        copy with its ``forward_level`` (the footnote-1 unicast is one
+        with nothing left to forward), or a recovered copy (None).
+
+        The first T-mesh copy of an interval is forwarded before anything
+        is applied, so the whole multicast runs on one table snapshot.
+        Then the update *applies* only in interval order: it is the one
+        after ``applied``, or, while ``applied`` is None, the one that
+        announces this member's own record (:meth:`_advance`).  An update
+        from before that announcement, seen for the first time, teaches
+        records only (:meth:`_learn`).  A duplicate is a no-op, and a
+        T-mesh copy past a gap asks for recovery instead of applying."""
+        multicast = forward_level is not None
+        seen = self._log_copy(update, multicast)
+        if multicast and not seen:
+            self._forward(update, forward_level)
+        interval, applied = update.interval, self.applied
+        if applied is None:
+            current = self.record is not None and self.record in update.joins
+        else:
+            current = interval == applied + 1
+        if current:
+            self._advance(update)
+        elif not seen:
+            if applied is None or interval <= applied:
+                self._learn(update)
+            if multicast and self.joined and (applied is None or interval > applied):
+                self.request_recovery()
+
+    def _forward(self, update: m.MembershipUpdate, level: int) -> None:
+        """FORWARD (Fig. 2) with per-hop splitting (Fig. 5)."""
+        if self.table is None:
+            return
+        for i in range(level, self.scheme.num_digits):
+            for _, nbr in self.table.row_primaries(i):
+                self.send(
+                    nbr.host,
+                    m.MulticastMsg(
+                        update.carrying(
+                            split_for_next_hop(update.encryptions, nbr.user_id, i)
                         ),
-                    )
+                        forward_level=i + 1,
+                    ),
+                )
 
-        # Apply the membership changes *after* forwarding, so the whole
-        # multicast runs on one consistent table snapshot.
-        self._apply_update(update)
-
-    def _apply_update(self, update: m.MembershipUpdate) -> None:
-        self._departed.update(update.leaves)
+    def _advance(self, update: m.MembershipUpdate) -> None:
+        """Apply the next interval: record its tombstones (an ID announced
+        again admits its new holder's record and no older one), detach if
+        it lists this member, remove the leavers, offer the joins and the
+        leavers' replacement records as one batch, and send one refill
+        query per entry the removals left empty.  Removing first lets a
+        joiner take the place of a leaver in a full entry."""
+        self.applied = update.interval
+        departed = self._departed
+        for record in update.joins:
+            if record.user_id in departed:
+                departed[record.user_id] = record.join_time
+        departed.update(dict.fromkeys(update.leaves, _FREE))
         # Only the update that announces this node's departure ends its
         # duty.  A leaver whose request is still unqueued (lost, or in
         # flight across a close) keeps serving and applying updates until
@@ -1008,22 +1060,36 @@ class UserNode(TransportNode):
         if self.user_id in update.leaves:
             self.detach()  # the final forwarding duty is done
             return
-        if self.table is None:
-            return
-        self._offer(update.joins)
-        # Remove every departed record first, then refill the emptied
-        # entries — refill queries must target surviving neighbors only.
-        # Leavers sharing an entry vacate it once: one query per entry.
+        table = self.table
         emptied: Dict[Tuple[int, int], None] = {}
         for user_id in update.leaves:
-            if self.table.remove(user_id):
-                emptied[self.table.slot_of(user_id)] = None
-        # The leavers' own neighbor records repair most vacated entries
-        # immediately; refill queries cover anything still empty.
-        self._offer(update.replacements)
+            if table.remove(user_id):
+                emptied[table.slot_of(user_id)] = None
+        self._offer(update.joins + update.replacements)
+        # Refill queries target surviving neighbours; leavers sharing an
+        # entry vacate it once.
         for i, j in emptied:
-            if not self.table.entry(i, j):
+            if not table.entry(i, j):
                 self._refill(i, j)
+
+    def _learn(self, update: m.MembershipUpdate) -> None:
+        """Take the records of an update from before this member's own
+        announcement, and nothing else: no tombstone, no detach, no
+        refill, no counter.  The tombstones ``AssignedId`` brought are
+        newer than any such update, so a leaver leaves the table only
+        when no tombstone speaks for its ID (as for the group's first
+        member, which gets none), and a record that joined and left
+        within the update is not offered."""
+        table = self.table
+        if table is None:
+            return
+        departed, leaves = self._departed, set(update.leaves)
+        for user_id in leaves:
+            if user_id not in departed:
+                table.remove(user_id)
+        self._offer(
+            r for r in update.joins + update.replacements if r.user_id not in leaves
+        )
 
     def _refill(self, i: int, j: int) -> None:
         """An entry went empty: ask a region mate (a neighbor sharing at
@@ -1037,6 +1103,3 @@ class UserNode(TransportNode):
                     m.QueryMsg(target_prefix, ("refill", i, j)),
                 )
                 return
-
-    def _on_refill_response(self, response: m.QueryResponse) -> None:
-        self._offer(response.records)

@@ -48,13 +48,14 @@ from ..keytree.keys import pack_encryptions, unpack_encryptions
 MAX_FRAME = 64 * 1024 * 1024
 
 #: Wire format version; a frame with any other first byte is rejected.
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct(">I")
 _PREFIX = struct.Struct(">BBII")  # version, tag, src, dst
 _U32 = struct.Struct(">I")
 _I32 = struct.Struct(">i")
 _U64 = struct.Struct(">Q")
+_F64 = struct.Struct(">d")
 _RECORD = struct.Struct(">IddB")
 _QUERY_TOKEN = struct.Struct(">BII")
 _TOKEN_KINDS = ("phase", "refill")
@@ -184,7 +185,7 @@ def _write_pong(p: m.PongMsg) -> bytes:
 
 
 def _write_failure(p: m.FailureNotice) -> bytes:
-    return pack_id(p.failed_user) + pack_id(p.reporter)
+    return _pack_record(p.failed) + pack_id(p.reporter)
 
 
 def _write_notify(p: m.NotifyPrefix) -> bytes:
@@ -192,7 +193,11 @@ def _write_notify(p: m.NotifyPrefix) -> bytes:
 
 
 def _write_assigned(p: m.AssignedId) -> bytes:
-    return _pack_record(p.record) + _pack_ids(p.departed)
+    return (
+        _pack_record(p.record)
+        + _U32.pack(len(p.departed))
+        + b"".join(pack_id(uid) + _F64.pack(floor) for uid, floor in p.departed)
+    )
 
 
 def _write_leave(p: m.LeaveRequest) -> bytes:
@@ -366,7 +371,7 @@ def _read_pong(buf, pos, table):
 
 
 def _read_failure(buf, pos, table):
-    failed, pos = unpack_id(buf, pos)
+    failed, pos = _read_record(buf, pos, table)
     reporter, pos = unpack_id(buf, pos)
     return m.FailureNotice(failed, reporter), pos
 
@@ -378,8 +383,16 @@ def _read_notify(buf, pos, table):
 
 def _read_assigned(buf, pos, table):
     record, pos = _read_record(buf, pos, table)
-    departed, pos = _read_ids(buf, pos)
-    return m.AssignedId(record, departed), pos
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    _check_count(count, 1 + _F64.size, buf, pos)
+    departed = []
+    for _ in range(count):
+        user_id, pos = unpack_id(buf, pos)
+        (floor,) = _F64.unpack_from(buf, pos)
+        departed.append((user_id, floor))
+        pos += _F64.size
+    return m.AssignedId(record, tuple(departed)), pos
 
 
 def _read_leave(buf, pos, table):

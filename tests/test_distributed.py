@@ -405,7 +405,8 @@ class TestLossRecovery:
     def test_late_joiner_requests_the_full_history(self):
         # A member that joined at interval 1 holds copies {1} only; its
         # recovery request must still pull interval 0 (contiguity from
-        # zero), and re-applying known records is harmless.
+        # zero).  Interval 0 came before its own announcement: it is
+        # learned (its records offered), not applied.
         world = make_world()
         for i in range(4):
             world.schedule_join(i, at=1.0 + 300.0 * i)
@@ -421,7 +422,72 @@ class TestLossRecovery:
         world.run()
         assert sorted(set(late.copies_received)) == [0, 1]
         assert late.stats.recovered_updates == 1
+        assert late.applied == 1
         assert world.check_one_consistency() == []
+
+    def _join_after_eight(self, plan, at=6000.0):
+        topology = TransitStubTopology(num_hosts=41, params=PARAMS, seed=5)
+        world = DistributedGroup(topology, server_host=40, seed=5, fault_plan=plan)
+        for i in range(8):
+            world.schedule_join(i, at=1.0 + 300.0 * i)
+        world.end_interval(at=5000.0)
+        return world, world.schedule_join(8, at=at)
+
+    def test_joiner_whose_phases_learned_nothing_is_filled_by_recovery(self):
+        # The joiner's one phase query is answered into a drop: it writes
+        # off its bootstrap and ends the join knowing no one.  Its table
+        # fills only from the records of the announcements before its
+        # own, which recovery teaches it.
+        from repro.distributed import messages as m
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(seed=1).drop(
+            1.0,
+            dst=8,
+            start=6000.0,
+            end=7000.0,
+            match=lambda s, d, p: isinstance(p, m.QueryResponse),
+        )
+        world, joiner = self._join_after_eight(plan)
+        world.end_interval(at=9000.0)
+        world.run()
+        assert joiner.joined and joiner.stats.queries_sent == 1
+        assert world.fault_stats.drops == 1
+        assert list(joiner.table.all_records()) == []
+        assert world.check_one_consistency() != []
+        assert world.converge() == 1
+        assert world.check_one_consistency() == []
+        assert list(joiner.table.all_records())
+
+    def test_announcement_that_overtakes_the_assigned_id(self):
+        # The first AssignedId is lost; the close announces the joiner
+        # before the retry tells it its ID, so that copy cannot be
+        # recognised.  The next close's copy asks for the whole history,
+        # the announcement then applies, and so does every later
+        # interval, the eviction included.
+        from repro.distributed import messages as m
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(seed=1).drop(
+            1.0,
+            dst=8,
+            start=6000.0,
+            end=9000.0,
+            match=lambda s, d, p: isinstance(p, m.AssignedId),
+        )
+        world, joiner = self._join_after_eight(plan)
+        world.end_interval(at=8000.0)
+        world.run(until=8500.0)
+        assert not joiner.joined and joiner.copies_received == [1]
+        world.end_interval(at=16_000.0)
+        world.run()
+        assert joiner.stats.server_retries == 1
+        assert world.missing_intervals() == {}
+        world.server.evict(joiner.user_id)
+        world.end_interval(at=world.scheduler.now + 100.0)
+        world.run()
+        assert world.intervals[-1].update.leaves == (joiner.user_id,)
+        assert world.transport.node_at(8) is None
 
     def test_recovery_round_is_a_no_op_when_synced(self):
         world = make_world()
@@ -601,27 +667,17 @@ class TestIdReuseRecovery:
                 announced[record] = update.interval
         holders = reused_id_holders(world)
         assert holders
-        missing = world.missing_intervals()
-        for user in world.active_users():
-            if user.user_id in missing:
-                start = announced[user.record]
-                assert min(missing[user.user_id]) > start, user.user_id
+        # No holder owes its ID's earlier holder's intervals, and a
+        # later announcement clears the ID's tombstone, so tables serve
+        # the holder and nothing is missing.
+        assert world.missing_intervals() == {}
+        last = world.intervals[-1].update.interval
+        for user in holders:
+            assert user.applied == last, user.user_id
         if seed == 0:
-            # Announced at interval 2; defect 2 makes every table refuse
-            # the reused ID, so 3 and 4 are genuine gaps.
             holder = next(u for u in holders if str(u.user_id) == "[0,2,0]")
             assert announced[holder.record] == 2
-            assert missing[holder.user_id] == [3, 4]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "ROADMAP aim 3, item 1 (one member transition per update): "
-            "recovery replays history from the last contiguous interval, "
-            "so a reused-ID holder re-applies its predecessor's departure "
-            "and detaches"
-        ),
-    )
     def test_recovery_round_keeps_reused_id_holders_attached(self):
         world = small_scheme_churn(0)
         holders = reused_id_holders(world)
@@ -633,3 +689,66 @@ class TestIdReuseRecovery:
             if world.transport.node_at(u.host) is not u
         ]
         assert detached == []
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_failure_notice_about_an_earlier_holder_spares_the_live_one(seed):
+    """A member that missed a departure keeps the leaver's record and
+    probes it dead while the server hands the ID to a joiner.  Its
+    failure notice names the dead record, so the live holder of the ID
+    is neither evicted nor detached."""
+    from repro.core.ids import IdScheme
+    from repro.distributed import messages as m
+    from repro.experiments.common import _default_thresholds
+    from repro.faults import FaultPlan
+
+    scheme = IdScheme(num_digits=3, base=4)
+    hosts, members = 72, 30
+    topology = TransitStubTopology(num_hosts=hosts + 1, params=PARAMS, seed=seed)
+    plan = FaultPlan(seed=seed)
+    world = DistributedGroup(
+        topology,
+        server_host=hosts,
+        scheme=scheme,
+        thresholds=_default_thresholds(scheme),
+        k=2,
+        seed=seed,
+        fault_plan=plan,
+    )
+    order = [int(h) for h in np.random.default_rng(seed).permutation(hosts)]
+    for n, host in enumerate(order[:members]):
+        world.schedule_join(host, at=1.0 + 300.0 * n)
+    world.end_interval(at=300.0 * members + 2000.0)
+    world.run()
+    active = sorted(world.active_users(), key=lambda u: u.host)
+    leaver = active[0]
+    lagger = next(u for u in active[1:] if u.table.contains(leaver.user_id))
+    t = world.scheduler.now
+    plan.drop(
+        1.0,
+        dst=lagger.host,
+        start=t,
+        end=t + 3000.0,
+        match=lambda s, d, p: isinstance(p, m.MulticastMsg),
+    )
+    world.schedule_leave_of_host(leaver.host, at=t + 10.0)
+    world.end_interval(at=t + 1000.0)
+    world.run()
+    t = world.scheduler.now + 3000.0
+    for n, host in enumerate(order[members : members + 20]):
+        world.schedule_join(host, at=t + 300.0 * n)
+    t += 300.0 * 20 + 2000.0
+    world.schedule_probe_round(at=t)
+    world.schedule_probe_round(at=t + 6000.0)
+    world.run()
+    holder = next(
+        u
+        for u in world.users.values()
+        if u.user_id == leaver.user_id and u is not leaver
+    )
+    assert lagger.stats.failures_detected == 1
+    assert leaver.user_id not in world.server._pending_leaves
+    world.end_interval(at=world.scheduler.now + 100.0)
+    world.run()
+    assert world.transport.node_at(holder.host) is holder
+    assert world.server.records[holder.user_id] == holder.record

@@ -4,19 +4,25 @@ phases against the per-record code they replaced.
 ``ReferenceUserNode`` carries that code verbatim: ``_insert`` measures
 and offers one record at a time; the join phases scan the whole table
 per query, rescan every pool per response and take ``np.percentile``
-per pool; every copy is accounted by scanning the copy log.  It does
-carry two protocol fixes, which change behaviour and are pinned in
-``test_distributed.py``: one refill query per vacated entry, and a
-leaver detaches only on the update that lists it.
-``ReferenceServerNode`` builds the server's table with one ``insert``
-per announced member.  The current path (``UserNode._offer``: reject
-first, then one ``fill`` per entry; ``NeighborTable.records_with_prefix``;
-exhausted pools; ``choose_digit``; per-interval copy counts) must leave
-every member's ID, table, ``known``, ``measured``, unreachable hosts,
-``ProtocolStats``, tombstones and copy log equal to the reference's
-after every interval, and the world must send the same messages and
-fire the same events.  Both worlds are driven by one seeded schedule; a
-node becomes the reference by swapping its class, which adds no state.
+per pool; every copy is accounted by scanning the copy log.  It shares
+the member transition, ``UserNode._apply_update``: the order an update
+applies in (leavers out, then joins and replacements offered as one
+batch), the ``applied`` counter, learning before the own announcement
+and the tombstones are protocol, not mechanics, and are pinned in
+``test_distributed.py``.  ``ReferenceServerNode`` builds the server's
+table with one ``insert`` per announced member.  The current path
+(``UserNode._offer``: reject first, then one ``fill`` per entry;
+``NeighborTable.records_with_prefix``; exhausted pools;
+``choose_digit``; per-interval copy counts) must leave every member's
+ID, table, ``known``, ``measured``, unreachable hosts, ``ProtocolStats``,
+tombstones, ``applied`` and copy log equal to the reference's after
+every interval, and the world must send the same messages and fire the
+same events.  Both worlds are driven by one seeded schedule; a node
+becomes the reference by swapping its class, which adds no state.
+
+The order the transition replaced (joins offered before the leavers
+go) survives only as ``JoinsBeforeLeaves``, the clean seed-12
+reproduction below.
 
 ``tools/check_invariants.py`` (scenario ``member-upkeep``) replays the
 lossy schedule below against the same reference and digests.
@@ -36,7 +42,6 @@ from repro.core.ids import Id, IdScheme, NULL_ID
 from repro.core.neighbor_table import NeighborTable, UserRecord
 from repro.distributed import DistributedGroup
 from repro.distributed import messages as m
-from repro.core.splitting import split_for_next_hop
 from repro.distributed.nodes import ServerNode, UserNode, _Phase
 from repro.experiments.common import _default_thresholds
 from repro.faults import FaultPlan
@@ -83,7 +88,7 @@ class ReferenceUserNode(UserNode):
     def _on_query_response(self, response: m.QueryResponse) -> None:
         kind = response.token[0]
         if kind == "refill":
-            self._on_refill_response(response)
+            self._offer(response.records)
             return
         event = self._outstanding.pop(response.token, None)
         if event is None:
@@ -160,85 +165,44 @@ class ReferenceUserNode(UserNode):
             matches = tuple(found)
         self.send(src, m.QueryResponse(matches, query.token))
 
-    # -- copy accounting --------------------------------------------------
+    # -- copy accounting: scans of the copy log ----------------------------
     def request_recovery(self) -> None:
         if not self.joined:
             return
-        seen = set(self.copies_received)
         last = -1
-        while last + 1 in seen:
-            last += 1
+        if self.applied is not None:
+            seen = set(self.copies_received)
+            while last < self.applied and last + 1 in seen:
+                last += 1
         self.stats.recovery_requests += 1
         self.send(self.server_host, m.RecoverRequest(last))
 
-    def _on_recover_response(self, response: m.RecoverResponse) -> None:
-        for update in sorted(response.updates, key=lambda u: u.interval):
-            if update.interval in self.copies_received:
-                continue  # the multicast copy arrived after we asked
-            self.copies_received.append(update.interval)
-            self.encryptions_received[update.interval] = (
-                self.encryptions_received.get(update.interval, 0)
-                + len(update.encryptions)
-            )
+    def _log_copy(self, update: m.MembershipUpdate, multicast: bool) -> int:
+        seen = self.copies_received.count(update.interval)
+        if multicast:
+            self.stats.multicast_copies += 1
+        elif seen:
+            return seen  # recovery never logs a second copy
+        else:
             self.stats.recovered_updates += 1
-            self._apply_update(update)
-            if self.transport.node_at(self.host) is not self:
-                return  # a recovered update announced our own departure
-
-    def _on_multicast(self, msg: m.MulticastMsg) -> None:
-        update = msg.payload
         self.copies_received.append(update.interval)
-        self.stats.multicast_copies += 1
         self.encryptions_received[update.interval] = (
             self.encryptions_received.get(update.interval, 0)
             + len(update.encryptions)
         )
-        if self.copies_received.count(update.interval) > 1:
-            return  # duplicate: do not forward again (Theorem 1 says this
-            # cannot happen with consistent tables; counted for tests)
+        return seen
 
-        # FORWARD (Fig. 2) with per-hop splitting (Fig. 5).
-        level = msg.forward_level
-        if self.table is not None and level < self.scheme.num_digits:
-            for i in range(level, self.scheme.num_digits):
-                for _, nbr in self.table.row_primaries(i):
-                    self.send(
-                        nbr.host,
-                        m.MulticastMsg(
-                            m.MembershipUpdate(
-                                update.interval,
-                                update.joins,
-                                update.leaves,
-                                split_for_next_hop(
-                                    update.encryptions, nbr.user_id, i
-                                ),
-                                update.replacements,
-                            ),
-                            forward_level=i + 1,
-                        ),
-                    )
-
-        # Apply the membership changes *after* forwarding, so the whole
-        # multicast runs on one consistent table snapshot.
-        self._apply_update(update)
-
-    # -- table upkeep -----------------------------------------------------
-    def _finalize(self, record: UserRecord) -> None:
-        self.user_id = record.user_id
-        self.record = record
-        self.table = NeighborTable(self.scheme, record, self.k)
-        for other in self.known.values():
-            self._insert(other)
-        self.joined = True
-        if self._leave_deferred:
-            self.start_leave()
+    # -- table upkeep: one insert per record --------------------------------
+    def _offer(self, records) -> None:
+        for record in records:
+            self._insert(record)
 
     def _insert(self, record: UserRecord) -> None:
         """Insert a record with a measured RTT (a lazy ping pair when the
         join phases never probed this host)."""
         if record.user_id == self.user_id or self.table is None:
             return
-        if record.user_id in self._departed:
+        if record.join_time < self._departed.get(record.user_id, -1.0):
             return  # a stale record echoed by a racing query response
         rtt = self.measured.get(record.host)
         if rtt is None:
@@ -246,29 +210,6 @@ class ReferenceUserNode(UserNode):
             self.measured[record.host] = rtt
             self.stats.pings_sent += 1
         self.table.insert(record, rtt)
-
-    def _apply_update(self, update: m.MembershipUpdate) -> None:
-        self._departed.update(update.leaves)
-        if self.user_id in update.leaves:
-            self.detach()  # the final forwarding duty is done
-            return
-        if self.table is None:
-            return
-        for record in update.joins:
-            self._insert(record)
-        emptied = {}
-        for user_id in update.leaves:
-            if self.table.remove(user_id):
-                emptied[self.table.slot_of(user_id)] = None
-        for record in update.replacements:
-            self._insert(record)
-        for i, j in emptied:
-            if not self.table.entry(i, j):
-                self._refill(i, j)
-
-    def _on_refill_response(self, response: m.QueryResponse) -> None:
-        for record in response.records:
-            self._insert(record)
 
 
 class ReferenceServerNode(ServerNode):
@@ -307,7 +248,8 @@ def member_state(world):
             tuple(node.measured.items()),
             tuple(sorted(node._unreachable)),
             dataclasses.astuple(node.stats),
-            tuple(sorted(node._departed)),
+            tuple(sorted(node._departed.items())),
+            node.applied,
             tuple(node.copies_received),
         )
         for host, node in sorted(world.users.items())
@@ -433,12 +375,45 @@ def assert_lockstep(seed, node_cls=UserNode, schedule=None, **kwargs):
 # ----------------------------------------------------------------------
 # The lanes
 # ----------------------------------------------------------------------
-# Equality is the contract here, not 1-consistency: both paths share a
-# known upkeep defect (ROADMAP, "Joins before leaves") that breaks it on
-# clean seed 12.
 @pytest.mark.parametrize("seed", range(20))
 def test_clean_churn_equals_reference(seed):
-    assert_lockstep(seed)
+    world = assert_lockstep(seed)
+    assert world.check_one_consistency() == []
+
+
+class JoinsBeforeLeaves(UserNode):
+    """The order the member transition replaced: an update's joins are
+    offered before its leavers are removed, then the replacements."""
+
+    def _advance(self, update: m.MembershipUpdate) -> None:
+        self.applied = update.interval
+        for record in update.joins:
+            if record.user_id in self._departed:
+                self._departed[record.user_id] = record.join_time
+        self._departed.update(dict.fromkeys(update.leaves, float("inf")))
+        if self.user_id in update.leaves:
+            self.detach()
+            return
+        self._offer(update.joins)
+        emptied = {}
+        for user_id in update.leaves:
+            if self.table.remove(user_id):
+                emptied[self.table.slot_of(user_id)] = None
+        self._offer(update.replacements)
+        for i, j in emptied:
+            if not self.table.entry(i, j):
+                self._refill(i, j)
+
+
+def test_joins_before_leaves_empties_entries_on_clean_seed_12():
+    """K = 1: a full entry turns a joiner away, then its occupant leaves
+    in the same update and the entry ends empty for good.  Leavers out
+    first leaves no entry short."""
+    _, old = run_churn(12, JoinsBeforeLeaves)
+    assert old.k == 1
+    assert len(old.check_one_consistency()) == 7
+    _, world = run_churn(12)
+    assert world.check_one_consistency() == []
 
 
 @pytest.mark.faults
@@ -481,9 +456,11 @@ def lone_node(cls, owner, k):
 
 @st.composite
 def offer_setups(draw):
-    """An owner, a table already holding some records, a measured set, a
-    tombstone set, and a batch of distinct IDs that mixes present IDs,
-    the owner's own ID, tombstoned IDs and hosts never measured."""
+    """An owner, a table already holding some records, a measured set,
+    tombstones, and a batch of distinct IDs that mixes present IDs, the
+    owner's own ID, tombstoned IDs and hosts never measured.  Every
+    record joined at time 0, so a tombstone at 0 admits it (its ID was
+    handed to it again), one at 1 or infinity does not."""
     k = draw(st.sampled_from((1, 2, 4)))
     ids = draw(st.permutations(GRID_IDS))
     hosts = draw(st.lists(st.integers(0, 22), min_size=27, max_size=27))
@@ -491,7 +468,13 @@ def offer_setups(draw):
     owner = records[0]
     held = draw(st.integers(0, 20))
     measured = draw(st.sets(st.integers(0, 22)))
-    departed = draw(st.sets(st.sampled_from(ids[1:]), max_size=5))
+    departed = draw(
+        st.dictionaries(
+            st.sampled_from(ids[1:]),
+            st.sampled_from((0.0, 1.0, float("inf"))),
+            max_size=5,
+        )
+    )
     batch = draw(st.lists(st.sampled_from(records), unique=True, max_size=26))
     return k, owner, records[1 : 1 + held], measured, departed, batch
 
@@ -506,7 +489,7 @@ def test_batch_offer_equals_sequential_inserts(setup):
         node.measured = {h: GRID.rtt(owner.host, h) for h in sorted(measured)}
         for record in held:  # present IDs, at the RTT they were filed under
             ReferenceUserNode._insert(node, record)
-        node._departed = set(departed)
+        node._departed = dict(departed)
         nodes.append(node)
     batched, reference = nodes
     before = dict(table_state(batched.table))
@@ -527,11 +510,11 @@ def test_batch_offer_equals_sequential_inserts(setup):
 # ----------------------------------------------------------------------
 # Work: a rejected offer costs no allocation and no tombstone lookup
 # ----------------------------------------------------------------------
-class CountingSet(set):
+class CountingDict(dict):
     lookups = 0
 
     def __contains__(self, item):
-        CountingSet.lookups += 1
+        CountingDict.lookups += 1
         return super().__contains__(item)
 
 
@@ -552,7 +535,8 @@ def assert_replay_changes_nothing(world):
         rows = [table.row_primaries(i) for i in range(world.scheme.num_digits)]
         cache = dict(table._primaries_cache)
         sent, epoch = world.transport.stats.sent, NeighborTable._mutation_epoch
-        node._apply_update(update)
+        node._apply_update(update)  # a duplicate copy
+        node._learn(update)  # its records offered again
         assert NeighborTable._mutation_epoch == epoch, node.user_id
         assert table._primaries_cache == cache
         assert all(
@@ -563,10 +547,9 @@ def assert_replay_changes_nothing(world):
 
 
 def test_replayed_update_changes_nothing():
-    """A member offered an update's records again changes nothing: every
-    join and replacement is present or rejected.  (An update whose joins
-    and leaves share an entry is not replayable this way: the first pass
-    offers the joins before the leavers go, ROADMAP's upkeep defect 1.)"""
+    """A duplicate copy of an update changes nothing, and neither does
+    a member offered the update's records again: every join and
+    replacement is present or rejected, every leaver tombstoned."""
     world = settled_world()
     assert_replay_changes_nothing(world)  # sixteen joins
     for host in (2, 9):
@@ -592,10 +575,10 @@ def test_rejected_offers_skip_the_tombstone_lookup():
             and node.measured[record.host] >= node.table.entry_rtts(*slot)[0]
         ]
         offers += len(rejected)
-        node._departed = CountingSet(node._departed)
-        CountingSet.lookups = 0
+        node._departed = CountingDict(node._departed)
+        CountingDict.lookups = 0
         epoch = NeighborTable._mutation_epoch
         node._offer(rejected)
-        assert CountingSet.lookups == 0, node.user_id
+        assert CountingDict.lookups == 0, node.user_id
         assert NeighborTable._mutation_epoch == epoch
     assert offers > 100

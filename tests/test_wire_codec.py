@@ -64,9 +64,11 @@ PAYLOADS = {
     m.QueryResponse: st.builds(m.QueryResponse, tuples_of(records), query_tokens),
     m.PingMsg: st.builds(m.PingMsg, ping_tokens),
     m.PongMsg: st.builds(m.PongMsg, st.none() | records, ping_tokens),
-    m.FailureNotice: st.builds(m.FailureNotice, ids, ids),
+    m.FailureNotice: st.builds(m.FailureNotice, records, ids),
     m.NotifyPrefix: st.builds(m.NotifyPrefix, ids),
-    m.AssignedId: st.builds(m.AssignedId, records, tuples_of(ids)),
+    m.AssignedId: st.builds(
+        m.AssignedId, records, tuples_of(st.tuples(ids, floats))
+    ),
     m.LeaveRequest: st.builds(m.LeaveRequest, ids, tuples_of(records)),
     m.MembershipUpdate: updates,
     m.RecoverRequest: st.builds(m.RecoverRequest, st.integers(-(2**31), 2**31 - 1)),

@@ -51,9 +51,12 @@ against Section 2.4):
                         and applying updates through the current path
                         and through the per-record reference of
                         ``tests/test_member_upkeep_equivalence.py``
-                        (join phases and copy accounting included).
-                        The per-interval state digests must be equal
-                        and the tables must end 1-consistent.  Includes
+                        (join phases and copy accounting included; the
+                        member transition is shared).  The per-interval
+                        state digests must be equal, the tables must end
+                        1-consistent, and every member the server holds
+                        must still be attached (a recovery round must
+                        not detach the holder of a reused ID).  Includes
                         two canaries: a batch that forgets its lazy
                         pings and a collect loop that never reopens an
                         exhausted pool MUST each change the digest.
@@ -567,6 +570,13 @@ def scenario_member_upkeep(seed: int, users: int) -> str:
             f"batch digest {got[:12]} != per-record reference {want[:12]}",
         )
     problems = world.check_one_consistency()
+    problems += [
+        f"{user.user_id}: held by the server but detached"
+        for user in world.users.values()
+        if user.record is not None
+        and world.server.records.get(user.user_id) == user.record
+        and world.transport.node_at(user.host) is not user
+    ]
     if problems:
         raise violation("member-upkeep", "; ".join(problems[:4]))
     for canary, what in (
@@ -579,7 +589,7 @@ def scenario_member_upkeep(seed: int, users: int) -> str:
             )
     return (f"{len(world.intervals)} intervals, {world.fault_stats.drops} drops, "
             f"{reused_ids(world)} reused IDs, digest {got[:12]}... == "
-            "reference, 1-consistent; both canaries tripped")
+            "reference, 1-consistent, holders attached; both canaries tripped")
 
 
 def scenario_sharded_scale(seed: int, users: int) -> str:
