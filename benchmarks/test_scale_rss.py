@@ -9,9 +9,10 @@ failure mode this lane guards against is structural — per-member Python
 objects sneaking back into the streaming path turn tens of MB into GB,
 not into +50 %.
 
-The 1M rung is opt-in (``REPRO_SCALE_1M=1``): it additionally asserts
-the hard < 2 GB ceiling from the scale-ladder design, which is what
-makes a million-member rekey session viable on a laptop.
+The 1M rung is opt-in (``REPRO_SCALE_1M=1``; CI sets it on every
+push): it additionally asserts the hard < 2 GB ceiling from the
+scale-ladder design, which is what makes a million-member rekey
+session viable on a laptop.
 
 Run with the bench lane::
 

@@ -57,12 +57,13 @@ def pack_digit_matrix(batch: np.ndarray) -> np.ndarray:
     """Pack an ``(n, D)`` digit matrix into ``n`` left-aligned uint64
     codes — the array form of :func:`repro.compute.packing.pack_digits`.
     Caller guarantees ``D <= 8`` and digits ``< 256``."""
-    num_digits = batch.shape[1]
-    shifts = np.array(
-        [56 - 8 * k for k in range(num_digits)], dtype=np.uint64
-    )
-    lanes = batch.astype(np.uint64) << shifts
-    return np.bitwise_or.reduce(lanes, axis=1)
+    codes = np.zeros(batch.shape[0], dtype=np.uint64)
+    # Column by column: the temporaries are one column, not the matrix.
+    for k in range(batch.shape[1]):
+        lane = batch[:, k].astype(np.uint64)
+        lane <<= np.uint64(56 - 8 * k)
+        codes |= lane
+    return codes
 
 
 def synthesize_clustered_codes(
@@ -90,13 +91,17 @@ def synthesize_clustered_codes(
             0, bounds_arr, size=(num_users - count, len(bounds))
         )
         codes = pack_digit_matrix(batch)
+        del batch  # the dedup below runs beside the codes only
         uniq, first_idx = np.unique(codes, return_index=True)
         fresh_mask = ~np.isin(uniq, seen, assume_unique=True)
         keep = np.sort(first_idx[fresh_mask])
         fresh = codes[keep]
         out[count : count + len(fresh)] = fresh
         count += len(fresh)
-        seen = np.union1d(seen, fresh)
+        # ``seen`` and ``uniq[fresh_mask]`` are sorted, unique and
+        # disjoint, so a sort of the two is their union — without
+        # ``np.union1d``'s hash-set ``unique`` pass.
+        seen = np.sort(np.concatenate((seen, uniq[fresh_mask])))
     return out
 
 
@@ -139,7 +144,7 @@ def update_receipt_digest(
     rows["level"] = levels
     rows["upstream_host"] = upstream_hosts
     rows["arrival"] = arrivals
-    hasher.update(rows.tobytes())
+    hasher.update(rows)  # the C-contiguous buffer, without a bytes copy
 
 
 def session_receipt_rows(session) -> Tuple[np.ndarray, ...]:

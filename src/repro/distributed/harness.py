@@ -240,18 +240,22 @@ class DistributedGroup:
 
     def check_one_consistency(self) -> List[str]:
         """1-consistency of the emergent tables (what Theorem 1 needs):
-        for every active user, each (i, j)-entry is non-empty iff the
-        corresponding ID subtree has other members, every stored record
-        belongs to the right subtree, and no departed user lingers.
+        for every announced active user, each (i, j)-entry is non-empty
+        iff the corresponding ID subtree has other announced active
+        members, every stored record belongs to the right subtree, and
+        no departed user lingers.  The membership is the server's
+        announced set: a joiner that holds an ID but is not announced
+        yet is in nobody's table, and no table can be faulted for it.
 
         Only slots that can hold a finding are visited: per row, the
         populated child digits of the user's level-i ancestor and the
         row's non-empty entries.  Findings come in (i, j) order."""
         problems: List[str] = []
-        active = self.active_users()
-        tree = IdTree(self.scheme, [u.user_id for u in active])
-        alive = {u.user_id for u in active}
-        for user in active:
+        announced = self.server._announced
+        members = [u for u in self.active_users() if u.user_id in announced]
+        tree = IdTree(self.scheme, [u.user_id for u in members])
+        alive = {u.user_id for u in members}
+        for user in members:
             table, own = user.table, user.user_id
             filled: Dict[int, List[int]] = {}
             for i, j in table.slots():

@@ -35,7 +35,8 @@ never holding an all-pairs matrix.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -60,11 +61,6 @@ class SyntheticRttTopology(Topology):
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"coords must be (n, 2), got {arr.shape}")
         self._coords = arr
-        # Plain-float twin for the scalar path: indexing a list of
-        # [x, y] pairs returns Python floats, keeping per-call overhead
-        # off the ndarray boxing path.  float64 scalar arithmetic is
-        # bitwise-identical either way.
-        self._coord_rows = arr.tolist()
         self._access = float(access)
         self.max_dense_hosts = max_dense_hosts
 
@@ -92,7 +88,17 @@ class SyntheticRttTopology(Topology):
 
     @property
     def num_hosts(self) -> int:
-        return len(self._coord_rows)
+        return len(self._coords)
+
+    @cached_property
+    def _coord_rows(self) -> List[List[float]]:
+        """Plain-float twin of :attr:`coords` for the scalar path:
+        indexing a list of ``[x, y]`` pairs returns Python floats,
+        keeping per-call overhead off the ndarray boxing path (float64
+        scalar arithmetic is bitwise-identical either way).  Built on
+        the first scalar :meth:`rtt` call, because at 10⁶ hosts it is
+        ~100 MB of Python objects the vectorized surfaces never read."""
+        return self._coords.tolist()
 
     def rtt(self, a: int, b: int) -> float:
         if a == b:

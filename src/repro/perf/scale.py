@@ -21,18 +21,22 @@ linear in members — so the scale rungs fake *only the construction*
   ``SessionResult``s from :func:`~repro.core.tmesh.forward_session`,
   full verification.
 * :func:`build_array_world` / :func:`run_streaming_rekey` are the
-  *streaming array path*: the same world as bit-packed uint64 codes and
-  a coordinate array, rekeyed one top-level shard at a time with
-  bounded working sets — no per-member Python objects, which is what
-  takes the ladder to 10⁶ members in well under 2 GB.
+  *streaming array path*: the same world as bit-packed uint64 codes, a
+  coordinate array and the flattened ID trie, rekeyed one top-level
+  shard at a time with bounded working sets — no per-member Python
+  objects, which is what takes the ladder to 10⁶ members in well under
+  2 GB.
 
 The two paths are held bitwise-equal wherever both run: in the trie
 tables the unique row-``i`` forwarder with prefix ``p`` is ``rep(p)``
 itself, so member ``m``'s delivering copy arrives at depth
 ``d = min{d >= 1 : rep(m[:d]) == m}`` from upstream ``rep(m[:d-1])``
-(the server for ``d == 1``) — a pure function of the sorted code array
-that :func:`run_streaming_rekey` evaluates per shard with a per-depth
-arrival DP, reproducing the dense fan-out's receipts field for field.
+(the server for ``d == 1``) — a pure function of the codes that
+:func:`build_array_world` evaluates once and stores per shard
+(:class:`TrieShard`).  As :func:`build_scale_world` builds the tables
+and :func:`~repro.core.tmesh.forward_session` only forwards, each
+:func:`run_streaming_rekey` only runs the per-depth arrival DP over the
+stored edges, reproducing the dense fan-out's receipts field for field.
 The canonical receipt digest (:mod:`repro.compute.arraytable`) makes
 the comparison one string; ``tests/test_scale_ladder.py`` and the
 ``sharded-scale`` invariant scenario enforce it.
@@ -153,6 +157,22 @@ def build_scale_world(
 # Streaming array path
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
+class TrieShard:
+    """One top-level shard of the array world's ID trie, flattened.
+
+    Row ``k`` is one member, rows in ascending code order; ``level`` and
+    ``upstream`` are the member's delivering edge in the trie tables (a
+    pure function of the codes, so a session only reads them).  Every
+    array is read-only.
+    """
+
+    codes: np.ndarray  # uint64, sorted ascending
+    generation: np.ndarray  # int32 generation index; the host is this + 1
+    level: np.ndarray  # int8 delivery depth d, 1..num_digits
+    upstream: np.ndarray  # int32 row of the depth-(d-1) rep; -1 = key server
+
+
+@dataclass(frozen=True)
 class ArrayScaleWorld:
     """The array twin of :func:`build_scale_world`'s object world.
 
@@ -160,7 +180,9 @@ class ArrayScaleWorld:
     all distinct) who lives on host ``k + 1``; host 0 is the key server.
     Built with the *identical* RNG consumption, so at every size where
     both worlds can be built, packing the object world's IDs reproduces
-    ``codes`` exactly and the coordinates match bitwise.
+    ``codes`` exactly and the coordinates match bitwise.  ``shards`` is
+    the ID trie those codes define, one :class:`TrieShard` per top-level
+    digit in ascending order.
     """
 
     scheme: IdScheme
@@ -168,10 +190,61 @@ class ArrayScaleWorld:
     codes: np.ndarray  # uint64, generation order
     seed: int
     span: float
+    shards: Tuple[TrieShard, ...]
 
     @property
     def num_users(self) -> int:
         return len(self.codes)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _trie_shards(codes: np.ndarray, num_digits: int) -> Tuple[TrieShard, ...]:
+    """Flatten the ID trie of ``codes`` into one :class:`TrieShard` per
+    top-level digit.
+
+    Within a shard (sorted by code), the depth-``d`` prefix segments are
+    the trie's level-``d`` subtrees and a segment's first-seen member
+    (minimum generation index) is its representative.  Member ``m``'s
+    delivery depth is the first ``d`` where ``m`` is its own
+    representative; its upstream is the depth-``(d-1)`` representative,
+    or the key server at depth 1.
+    """
+    order = np.argsort(codes)  # codes are distinct: one order, any sort
+    sorted_codes = codes[order]
+    generation = order.astype(np.int32)
+    top_starts = segment_starts(sorted_codes, 1)
+    bounds = np.append(top_starts, len(codes))
+    shards = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        scodes = sorted_codes[lo:hi]
+        sgen = generation[lo:hi]
+        m = hi - lo
+        level = np.zeros(m, dtype=np.int8)
+        upstream = np.full(m, -1, dtype=np.int32)
+        prev_reps: Optional[np.ndarray] = None
+        for d in range(1, num_digits + 1):
+            starts = segment_starts(scodes, d)
+            sizes = np.diff(np.append(starts, m))
+            min_gen = np.minimum.reduceat(sgen, starts)
+            is_rep = sgen == np.repeat(min_gen, sizes)
+            newly = is_rep & (level == 0)
+            level[newly] = d
+            if prev_reps is not None:
+                upstream[newly] = prev_reps[newly]
+            prev_reps = np.repeat(np.flatnonzero(is_rep), sizes)
+        shards.append(
+            TrieShard(
+                codes=_read_only(scodes),
+                generation=_read_only(sgen),
+                level=_read_only(level),
+                upstream=_read_only(upstream),
+            )
+        )
+    return tuple(shards)
 
 
 def build_array_world(
@@ -180,11 +253,13 @@ def build_array_world(
     scheme: Optional[IdScheme] = None,
     span: float = 100.0,
 ) -> ArrayScaleWorld:
-    """The scale world as arrays only: packed codes plus coordinates.
+    """The scale world as arrays only: packed codes, coordinates and the
+    flattened ID trie every rekey session reads.
 
-    Peak memory is O(N) with small constants (~24 bytes per member), so
-    the 1M rung fits comfortably where :func:`build_scale_world`'s
-    per-member records and tables would not.
+    Memory is O(N) with no per-member Python objects (about 41 bytes
+    per member stored; docs/PERFORMANCE.md, "Memory model"), so the 1M
+    rung fits comfortably where :func:`build_scale_world`'s per-member
+    records and tables would not.
     """
     if scheme is None:
         scheme = IdScheme(len(SCALE_DIGIT_BOUNDS), max(SCALE_DIGIT_BOUNDS))
@@ -194,7 +269,12 @@ def build_array_world(
     coords = rng.uniform(0.0, span, size=(num_users + 1, 2))
     topology = CoordinateTopology(coords)
     return ArrayScaleWorld(
-        scheme=scheme, topology=topology, codes=codes, seed=seed, span=span
+        scheme=scheme,
+        topology=topology,
+        codes=codes,
+        seed=seed,
+        span=span,
+        shards=_trie_shards(codes, scheme.num_digits),
     )
 
 
@@ -223,75 +303,44 @@ def iter_streaming_shards(
     arrivals)`` per shard, sorted by code within the shard (and globally
     across shards, since a shard is a top-digit prefix class).
 
-    Per shard, depth-``d`` prefix segments of the sorted codes are the
-    ID trie's level-``d`` subtrees; the segment's first-seen member
-    (minimum generation index) is its representative.  Member ``m``'s
-    receipt depth is the first ``d`` where ``m`` is its own
-    representative, its upstream the depth-``(d-1)`` representative
-    (the key server, host 0, at depth 1), and arrivals follow the
-    per-depth DP ``(upstream_arrival + processing_delay) + distance`` —
-    the exact scalar fan-out expression, evaluated vectorized.
-
-    The working set is O(shard size): nothing about other shards is in
-    memory while one is processed.
+    The delivering edges come from the world's stored trie
+    (:class:`TrieShard`); the session computes only the arrivals, with
+    the per-depth DP ``(upstream_arrival + processing_delay) +
+    distance`` — the exact scalar fan-out expression, evaluated
+    vectorized.  ``codes`` and ``levels`` are read-only views of the
+    world.  The working set is O(shard size).
     """
-    codes = world.codes
-    n = len(codes)
-    if n == 0:
-        return
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
     coords = world.topology.coords
     server_xy = coords[0]
     num_digits = world.scheme.num_digits
-    top_starts = segment_starts(sorted_codes, 1)
-    bounds = np.append(top_starts, n)
-    for s in range(len(top_starts)):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        scodes = sorted_codes[lo:hi]
-        sgen = order[lo:hi]
-        shosts = (sgen + 1).astype(np.int64)
-        m = hi - lo
-        lvl = np.zeros(m, dtype=np.int64)
-        reps_of_mine: List[Optional[np.ndarray]] = [None] * (num_digits + 1)
-        for d in range(1, num_digits + 1):
-            starts_d = segment_starts(scodes, d)
-            sizes = np.diff(np.append(starts_d, m))
-            min_gen = np.minimum.reduceat(sgen, starts_d)
-            is_rep = sgen == np.repeat(min_gen, sizes)
-            rep_positions = np.flatnonzero(is_rep)
-            reps_of_mine[d] = np.repeat(rep_positions, sizes)
-            newly = is_rep & (lvl == 0)
-            lvl[newly] = d
-        ups = np.full(m, -1, dtype=np.int64)
-        for d in range(2, num_digits + 1):
-            sel = lvl == d
-            prev = reps_of_mine[d - 1]
-            assert prev is not None
-            ups[sel] = prev[sel]
-
-        arr = np.empty(m, dtype=np.float64)
-        xy = coords[shosts]
+    for shard in world.shards:
+        shosts = np.add(shard.generation, 1, dtype=np.int64)
+        lvl = shard.level
+        ups = shard.upstream
+        arr = np.empty(len(shosts), dtype=np.float64)
+        # ``take`` rather than fancy indexing: same values, and a row
+        # gather from the (N, 2) plane is ~5x faster that way.
+        xy = coords.take(shosts, axis=0)
         for d in range(1, num_digits + 1):
             sel = np.flatnonzero(lvl == d)
             if not len(sel):
                 continue
-            dst = xy[sel]
+            dst = xy.take(sel, axis=0)
             if d == 1:
                 dx = server_xy[0] - dst[:, 0]
                 dy = server_xy[1] - dst[:, 1]
                 base = 0.0 + processing_delay
             else:
-                up = ups[sel]
-                src = xy[up]
+                up = ups.take(sel)
+                src = xy.take(up, axis=0)
                 dx = src[:, 0] - dst[:, 0]
                 dy = src[:, 1] - dst[:, 1]
-                base = arr[up] + processing_delay
+                base = arr.take(up) + processing_delay
             arr[sel] = base + np.sqrt(dx * dx + dy * dy)
 
-        up_hosts = shosts[np.maximum(ups, 0)]
+        up_hosts = shosts.take(ups)  # -1 takes the last row, reset next
         up_hosts[ups < 0] = 0  # the key server
-        yield scodes, shosts, lvl, up_hosts, arr
+        yield shard.codes, shosts, lvl, up_hosts, arr
 
 
 def run_streaming_rekey(

@@ -437,7 +437,9 @@ class TestLossRecovery:
         # The joiner's one phase query is answered into a drop: it writes
         # off its bootstrap and ends the join knowing no one.  Its table
         # fills only from the records of the announcements before its
-        # own, which recovery teaches it.
+        # own, which recovery teaches it.  The join ends after the 9000
+        # close, so the audit (over the announced membership) waits for
+        # the close that announces it.
         from repro.distributed import messages as m
         from repro.faults import FaultPlan
 
@@ -453,6 +455,11 @@ class TestLossRecovery:
         world.run()
         assert joiner.joined and joiner.stats.queries_sent == 1
         assert world.fault_stats.drops == 1
+        assert list(joiner.table.all_records()) == []
+        assert joiner.user_id not in world.server._announced
+        assert world.check_one_consistency() == []
+        world.end_interval(at=world.scheduler.now + 1.0)
+        world.run()
         assert list(joiner.table.all_records()) == []
         assert world.check_one_consistency() != []
         assert world.converge() == 1

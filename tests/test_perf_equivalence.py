@@ -450,6 +450,34 @@ class TestSyntheticRttEquivalence:
         assert len(topology.rtt_many(0, list(range(128)))) == 128
 
 
+    def test_scalar_rows_wait_for_the_first_scalar_rtt(self):
+        """The plain-float rows serve only scalar ``rtt``: building the
+        topology, ``num_hosts`` and the vectorized surfaces allocate no
+        per-host Python objects (traced memory stays near the coordinate
+        array's size), and the first scalar call builds the rows."""
+        import tracemalloc
+
+        from repro.net.synthetic import SyntheticRttTopology
+
+        n = 200_000
+        tracemalloc.start()
+        try:
+            topology = SyntheticRttTopology.seeded(n, 20)
+            assert topology.num_hosts == n
+            hosts = list(range(0, n, 1000))
+            many = topology.rtt_many(7, hosts)
+            to_many = topology.rtt_to_many(7, hosts)
+            nbytes = topology.coords.nbytes
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak < 1.5 * nbytes
+            assert "_coord_rows" not in vars(topology)
+            assert topology.rtt(7, hosts[1]) == many[1] == to_many[1]
+            assert "_coord_rows" in vars(topology)
+            current, _ = tracemalloc.get_traced_memory()
+            assert current > 4 * nbytes  # n two-float lists
+        finally:
+            tracemalloc.stop()
+
 # ----------------------------------------------------------------------
 # Under fault injection (pytest -m faults)
 # ----------------------------------------------------------------------

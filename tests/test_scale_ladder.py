@@ -1,7 +1,7 @@
 """The scale-ladder lane (``pytest -q -m scale``; docs/PERFORMANCE.md).
 
 The large-N architecture rests on one claim: the streaming array path —
-on-demand RTT synthesis, bit-packed codes, per-shard rep-chain fan-out,
+on-demand RTT synthesis, bit-packed codes, the stored per-shard ID trie,
 packed-code membership — is *bitwise indistinguishable* from the dense
 object path at every size where both can run.  This lane enforces the
 claim three ways:
@@ -33,7 +33,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.alm.reliable import ReliableSession
-from repro.compute.packing import pack_id
+from repro.compute.arraytable import synthesize_clustered_codes
+from repro.compute.packing import pack_digits, pack_id
+from repro.core.id_assignment import synthesize_clustered_ids
 from repro.core.ids import Id, IdScheme
 from repro.core.neighbor_table import (
     UserRecord,
@@ -80,13 +82,47 @@ def test_array_world_reproduces_object_world(n, seed):
     assert topology.coords.tobytes() == world.topology.coords.tobytes()
 
 
+class _CountingRng:
+    """A generator that counts its ``integers`` calls: one per
+    rejection batch of the ID synthesis."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def integers(self, *args, **kwargs):
+        self.batches += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@given(
+    st.integers(min_value=64, max_value=128),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_code_synthesis_through_rejection_batches(n, seed):
+    """With 128 possible IDs and ``n`` near capacity, duplicates force
+    further batches, where the seen-set merge matters: the codes still
+    equal packing the scalar generator's IDs, and both generators end
+    in the same state."""
+    bounds = (4, 4, 8)
+    counting = _CountingRng(seed)
+    codes = synthesize_clustered_codes(n, counting, bounds)
+    scalar_rng = np.random.default_rng(seed)
+    ids = synthesize_clustered_ids(n, scalar_rng, bounds)
+    assert counting.batches >= 2
+    assert codes.tolist() == [pack_digits(digits) for digits in ids]
+    assert len(set(codes.tolist())) == n
+    assert counting.rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 @given(
     st.integers(min_value=1, max_value=256),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
 def test_streaming_digest_matches_dense_session(n, seed):
-    """The rep-chain streaming fan-out reproduces the dense FORWARD
+    """The stored-trie streaming fan-out reproduces the dense FORWARD
     fan-out receipt for receipt: one canonical digest."""
     topology, server_table, tables = build_scale_world(n, seed=seed)
     session = rekey_session(server_table, tables, topology)

@@ -92,13 +92,14 @@ class TestDeterministicSoak:
                     crash_every=3,
                     checkpoint_every=2,
                 ),
-                # One round and one interval more than before the member
-                # transition: the holder of a reused ID is no longer
-                # detached by a recovery replay of its predecessor's
-                # departure, so the last checkpoint sees a registered
-                # joiner in its subtree and flushes the batch announcing
-                # it.
-                (4, 12, 8134, 8255),
+                # Two rounds and two intervals fewer since the audit
+                # runs over the server's announced set: the first and
+                # the last checkpoint no longer count a registered but
+                # unannounced joiner ([0,60,0,0,0], then [0,222,0,0,0])
+                # as a row-1 subtree member, so neither flushes a batch
+                # only to announce it.  The run diverges after the first
+                # checkpoint, hence the lower event and message counts.
+                (2, 10, 6371, 6464),
             ),
             (
                 dict(
