@@ -38,9 +38,12 @@ from repro.perf.rss import measure_peak_rss
 #: (its footprint grows with whatever a joiner or responder caches).
 GUARDED = ["rekey_session_10k", "rekey_session_100k_stream", "distributed_join_64"]
 
-#: The opt-in rung and its hard ceiling (docs/PERFORMANCE.md).
+#: The opt-in rung, its hard ceiling (docs/PERFORMANCE.md) and its
+#: canonical receipt digest at seed 20, as hashing each shard's rows
+#: inline computed it.
 ONE_M = "rekey_session_1m_stream"
 ONE_M_CEILING_BYTES = 2 * 1024**3
+ONE_M_DIGEST = "1470bdd750e411eca8ea7bc6a9c976d8"
 
 
 def _mib(n: float) -> str:
@@ -70,8 +73,11 @@ def test_one_million_member_rung():
     """The headline claim of the scale ladder: a 1M-member rekey session
     completes under the streaming plan with peak RSS < 2 GB and no
     materialized all-pairs RTT matrix (the synthesized topology refuses
-    to build one past ``max_dense_hosts``)."""
-    peak = int(measure_peak_rss(ONE_M)["peak_rss_bytes"])
+    to build one past ``max_dense_hosts``), and its receipt digest is
+    the pinned one, byte for byte."""
+    record = measure_peak_rss(ONE_M)
+    assert record["digest"] == ONE_M_DIGEST
+    peak = int(record["peak_rss_bytes"])
     assert peak < ONE_M_CEILING_BYTES, (
         f"1M rung peak RSS {_mib(peak)} breaches the "
         f"{_mib(ONE_M_CEILING_BYTES)} ceiling"

@@ -17,10 +17,12 @@ Three kernel families, all on the bit-packed uint64 ID codes from
   ID trie, flattened.
 * **Canonical receipt digest** — a blake2b over fixed-layout
   little-endian rows ``(code u64, host i64, level i64, upstream_host
-  i64, arrival f64)`` sorted by member code.  The streaming fan-out
-  emits rows shard by shard in ascending code order and updates the
-  digest incrementally; the dense path extracts the same rows from a
-  materialized :class:`~repro.core.tmesh.SessionResult` and sorts once.
+  i64, arrival f64)`` sorted by member code, laid out by one helper
+  (:func:`pack_receipt_rows`).  The streaming fan-out packs one row
+  block per shard in ascending code order and feeds the blocks, in
+  order, to one incremental digest; the dense path extracts the same
+  rows from a materialized :class:`~repro.core.tmesh.SessionResult`,
+  sorts once and packs one block.
   Equal digests ⇔ equal receipts, which is how dense-vs-streaming
   bitwise equivalence is enforced at sizes where both paths run.
 """
@@ -78,7 +80,8 @@ def synthesize_clustered_codes(
     Identical consumption means identical ``rng.integers`` calls: each
     rejection batch draws ``(remaining, len(bounds))`` integers, then
     keeps the first occurrence of every not-yet-seen code in draw order
-    (``np.unique(return_index=True)`` against the growing seen-set).
+    (the minimum draw index of each run of equal sorted codes, against
+    the growing seen-set).
     The returned array equals ``pack_digits`` applied to the scalar
     generator's tuples, element for element.
     """
@@ -92,7 +95,22 @@ def synthesize_clustered_codes(
         )
         codes = pack_digit_matrix(batch)
         del batch  # the dedup below runs beside the codes only
-        uniq, first_idx = np.unique(codes, return_index=True)
+        # First occurrences without ``np.unique``'s stable sorts: the
+        # minimum original index of a run of equal sorted codes is its
+        # first occurrence, whatever order the sort left the run in.
+        # Each temporary goes as soon as it is used: at 10⁶ the first
+        # batch's dedup sets the build's peak RSS.
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        run_start = np.empty(len(codes), dtype=bool)
+        run_start[0] = True
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=run_start[1:])
+        del sorted_codes
+        starts = np.flatnonzero(run_start)
+        del run_start
+        first_idx = np.minimum.reduceat(order, starts)
+        del order, starts
+        uniq = codes[first_idx]  # ascending: one per run, in sorted order
         fresh_mask = ~np.isin(uniq, seen, assume_unique=True)
         keep = np.sort(first_idx[fresh_mask])
         fresh = codes[keep]
@@ -127,24 +145,25 @@ def new_receipt_digest() -> "hashlib._Hash":
     return hashlib.blake2b(digest_size=_DIGEST_SIZE)
 
 
-def update_receipt_digest(
-    hasher: "hashlib._Hash",
+def pack_receipt_rows(
     codes: np.ndarray,
     hosts: np.ndarray,
     levels: np.ndarray,
     upstream_hosts: np.ndarray,
     arrivals: np.ndarray,
-) -> None:
-    """Feed one block of receipt rows (already sorted by ``codes``, and
-    globally in ascending-code order across successive calls) into an
-    incremental canonical digest."""
+) -> np.ndarray:
+    """One block of canonical receipt rows in :data:`RECEIPT_ROW_DTYPE`,
+    C-contiguous, ready to feed to a digest from
+    :func:`new_receipt_digest` (its buffer, without a bytes copy).
+    Blocks must arrive at the hasher sorted by ``codes``, and globally
+    in ascending-code order across successive blocks."""
     rows = np.empty(len(codes), dtype=RECEIPT_ROW_DTYPE)
     rows["code"] = codes
     rows["host"] = hosts
     rows["level"] = levels
     rows["upstream_host"] = upstream_hosts
     rows["arrival"] = arrivals
-    hasher.update(rows)  # the C-contiguous buffer, without a bytes copy
+    return rows
 
 
 def session_receipt_rows(session) -> Tuple[np.ndarray, ...]:
@@ -196,5 +215,5 @@ def session_receipt_digest(session) -> str:
     the streaming path's digest iff every receipt field matches bitwise
     (member, host, forwarding level, upstream, arrival time)."""
     hasher = new_receipt_digest()
-    update_receipt_digest(hasher, *session_receipt_rows(session))
+    hasher.update(pack_receipt_rows(*session_receipt_rows(session)))
     return hasher.hexdigest()

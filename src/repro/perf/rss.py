@@ -51,7 +51,9 @@ def peak_rss_bytes() -> int:
 def measure_peak_rss(workload_name: str, timeout: float = 600.0) -> Dict[str, object]:
     """Peak RSS of one workload, measured in a fresh child process.
 
-    Returns the child's ``{"workload", "peak_rss_bytes"}`` record.
+    Returns the child's ``{"workload", "peak_rss_bytes"}`` record, plus
+    ``"digest"`` when the workload's run returns a summary carrying one
+    (the streaming rungs' canonical receipt digest).
     Raises ``RuntimeError`` when the child fails."""
     import repro
 
@@ -97,12 +99,12 @@ def _child_main(workload_name: str) -> int:
         return 1
     ctx: dict = {}
     fn = workload.setup(ctx)
-    fn()
-    print(
-        json.dumps(
-            {"workload": workload_name, "peak_rss_bytes": peak_rss_bytes()}
-        )
-    )
+    result = fn()
+    record = {"workload": workload_name, "peak_rss_bytes": peak_rss_bytes()}
+    digest = getattr(result, "digest", None)
+    if digest is not None:  # a streaming session's receipt digest
+        record["digest"] = digest
+    print(json.dumps(record))
     return 0
 
 

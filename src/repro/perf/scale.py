@@ -44,6 +44,8 @@ the comparison one string; ``tests/test_scale_ladder.py`` and the
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,9 +53,9 @@ import numpy as np
 
 from ..compute.arraytable import (
     new_receipt_digest,
+    pack_receipt_rows,
     segment_starts,
     synthesize_clustered_codes,
-    update_receipt_digest,
 )
 from ..core.id_assignment import synthesize_clustered_ids
 from ..core.ids import Id, IdScheme, NULL_ID
@@ -295,6 +297,42 @@ class StreamingSessionSummary:
     digest: str
 
 
+def _shard_arrivals(
+    coords: np.ndarray,
+    shosts: np.ndarray,
+    level: np.ndarray,
+    upstream: np.ndarray,
+    num_digits: int,
+    processing_delay: float,
+) -> np.ndarray:
+    """The per-depth arrival DP of one shard: ``(upstream_arrival +
+    processing_delay) + distance``, the exact scalar fan-out expression,
+    evaluated vectorized.  A function of its own so that its gathers
+    are freed before the shard's rows are handed on."""
+    server_xy = coords[0]
+    arr = np.empty(len(shosts), dtype=np.float64)
+    # ``take`` rather than fancy indexing: same values, and a row
+    # gather from the (N, 2) plane is ~5x faster that way.
+    xy = coords.take(shosts, axis=0)
+    for d in range(1, num_digits + 1):
+        sel = np.flatnonzero(level == d)
+        if not len(sel):
+            continue
+        dst = xy.take(sel, axis=0)
+        if d == 1:
+            dx = server_xy[0] - dst[:, 0]
+            dy = server_xy[1] - dst[:, 1]
+            base = 0.0 + processing_delay
+        else:
+            up = upstream.take(sel)
+            src = xy.take(up, axis=0)
+            dx = src[:, 0] - dst[:, 0]
+            dy = src[:, 1] - dst[:, 1]
+            base = arr.take(up) + processing_delay
+        arr[sel] = base + np.sqrt(dx * dx + dy * dy)
+    return arr
+
+
 def iter_streaming_shards(
     world: ArrayScaleWorld, processing_delay: float = 0.0
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -304,43 +342,46 @@ def iter_streaming_shards(
     across shards, since a shard is a top-digit prefix class).
 
     The delivering edges come from the world's stored trie
-    (:class:`TrieShard`); the session computes only the arrivals, with
-    the per-depth DP ``(upstream_arrival + processing_delay) +
-    distance`` — the exact scalar fan-out expression, evaluated
-    vectorized.  ``codes`` and ``levels`` are read-only views of the
-    world.  The working set is O(shard size).
+    (:class:`TrieShard`); the session computes only the arrivals
+    (:func:`_shard_arrivals`).  ``codes`` and ``levels`` are read-only
+    views of the world.  The working set is O(shard size).
     """
     coords = world.topology.coords
-    server_xy = coords[0]
     num_digits = world.scheme.num_digits
     for shard in world.shards:
         shosts = np.add(shard.generation, 1, dtype=np.int64)
-        lvl = shard.level
-        ups = shard.upstream
-        arr = np.empty(len(shosts), dtype=np.float64)
-        # ``take`` rather than fancy indexing: same values, and a row
-        # gather from the (N, 2) plane is ~5x faster that way.
-        xy = coords.take(shosts, axis=0)
-        for d in range(1, num_digits + 1):
-            sel = np.flatnonzero(lvl == d)
-            if not len(sel):
-                continue
-            dst = xy.take(sel, axis=0)
-            if d == 1:
-                dx = server_xy[0] - dst[:, 0]
-                dy = server_xy[1] - dst[:, 1]
-                base = 0.0 + processing_delay
-            else:
-                up = ups.take(sel)
-                src = xy.take(up, axis=0)
-                dx = src[:, 0] - dst[:, 0]
-                dy = src[:, 1] - dst[:, 1]
-                base = arr.take(up) + processing_delay
-            arr[sel] = base + np.sqrt(dx * dx + dy * dy)
+        arr = _shard_arrivals(
+            coords, shosts, shard.level, shard.upstream, num_digits,
+            processing_delay,
+        )
+        up_hosts = shosts.take(shard.upstream)  # -1 takes the last row,
+        up_hosts[shard.upstream < 0] = 0  # reset to the key server
+        yield shard.codes, shosts, shard.level, up_hosts, arr
 
-        up_hosts = shosts.take(ups)  # -1 takes the last row, reset next
-        up_hosts[ups < 0] = 0  # the key server
-        yield shard.codes, shosts, lvl, up_hosts, arr
+
+#: End-of-session marker on the digest hand-off.  Compared with ``is``:
+#: ``==`` against a structured row block is an elementwise comparison
+#: that raises.
+_NO_MORE_BLOCKS = object()
+
+
+def _hash_blocks(
+    hasher, blocks: queue.Queue, failures: List[Exception]
+) -> None:
+    """The digest thread: feed row blocks to ``hasher`` in arrival
+    order until the end marker.  After a failure it records the error
+    and keeps draining, so the producer's ``put`` never blocks forever;
+    the producer re-raises the error once it has joined this thread."""
+    while True:
+        block = blocks.get()
+        if block is _NO_MORE_BLOCKS:
+            return
+        if failures:
+            continue
+        try:
+            hasher.update(block)
+        except Exception as exc:  # handed to the producer thread
+            failures.append(exc)
 
 
 def run_streaming_rekey(
@@ -355,24 +396,48 @@ def run_streaming_rekey(
     the aggregates when a verification context is active.  The digest is
     comparable to ``SessionResult.canonical_receipt_digest()`` from the
     dense path over the same ``(num_users, seed)``.
+
+    The digest is hashed beside delivery, not after it: this thread
+    runs each shard's arrival DP and packs its receipt rows, and one
+    helper thread per session feeds the finished blocks to the one
+    hasher in shard order while the next shard runs (blake2b over a
+    large buffer and numpy's DP both release the GIL).  The bytes
+    hashed, and their order, are those of hashing inline.  The hand-off
+    holds one block, so at most three are live: one hashed, one queued,
+    one being packed.
     """
     num_digits = world.scheme.num_digits
     level_counts = np.zeros(num_digits + 1, dtype=np.int64)
     hasher = new_receipt_digest()
+    blocks: queue.Queue = queue.Queue(maxsize=1)
+    failures: List[Exception] = []
+    digester = threading.Thread(
+        target=_hash_blocks,
+        args=(hasher, blocks, failures),
+        name="receipt-digest",
+        daemon=True,  # never holds interpreter exit, even if unjoined
+    )
     num_receipts = 0
     num_shards = 0
     max_shard = 0
     max_arrival = 0.0
-    for scodes, shosts, lvl, up_hosts, arr in iter_streaming_shards(
-        world, processing_delay
-    ):
-        num_shards += 1
-        num_receipts += len(scodes)
-        max_shard = max(max_shard, len(scodes))
-        level_counts += np.bincount(lvl, minlength=num_digits + 1)
-        if len(arr):
-            max_arrival = max(max_arrival, float(arr.max()))
-        update_receipt_digest(hasher, scodes, shosts, lvl, up_hosts, arr)
+    digester.start()
+    try:
+        for scodes, shosts, lvl, up_hosts, arr in iter_streaming_shards(
+            world, processing_delay
+        ):
+            num_shards += 1
+            num_receipts += len(scodes)
+            max_shard = max(max_shard, len(scodes))
+            level_counts += np.bincount(lvl, minlength=num_digits + 1)
+            if len(arr):
+                max_arrival = max(max_arrival, float(arr.max()))
+            blocks.put(pack_receipt_rows(scodes, shosts, lvl, up_hosts, arr))
+    finally:
+        blocks.put(_NO_MORE_BLOCKS)
+        digester.join()
+    if failures:
+        raise failures[0]
     summary = StreamingSessionSummary(
         num_members=world.num_users,
         num_receipts=num_receipts,

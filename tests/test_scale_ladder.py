@@ -18,6 +18,10 @@ claim three ways:
   budget) with the :class:`~repro.verify.checkers.
   StreamingDeliveryChecker` active and no dense matrix materializable.
 
+The streaming digest is also pinned at 10³ and 10⁵ members, so moving
+its hashing onto the digest thread cannot change its bytes, and that
+thread's failure paths are tested to re-raise without hanging.
+
 The 1M rung and the peak-RSS guard live in the bench lane
 (``benchmarks/test_scale_rss.py``).
 """
@@ -25,6 +29,8 @@ The 1M rung and the peak-RSS guard live in the bench lane
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,7 +39,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.alm.reliable import ReliableSession
-from repro.compute.arraytable import synthesize_clustered_codes
+from repro.compute.arraytable import (
+    new_receipt_digest,
+    synthesize_clustered_codes,
+)
 from repro.compute.packing import pack_digits, pack_id
 from repro.core.id_assignment import synthesize_clustered_ids
 from repro.core.ids import Id, IdScheme
@@ -46,6 +55,7 @@ from repro.core.tmesh import rekey_session
 from repro.keytree import ClusterRekeyingTree
 from repro.net.planetlab import MatrixTopology
 from repro.net.synthetic import SyntheticRttTopology
+from repro.perf import scale
 from repro.perf.scale import (
     build_array_world,
     build_scale_world,
@@ -116,6 +126,21 @@ def test_code_synthesis_through_rejection_batches(n, seed):
     assert counting.rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 20, 31])
+def test_code_synthesis_with_duplicates_inside_a_batch(seed):
+    """Eight IDs from a space of eight: nearly every batch draws the
+    same code several times, so the first-occurrence dedup picks the
+    minimum draw index of each run, whatever order the sort left it
+    in."""
+    bounds = (2, 2, 2)
+    rng = np.random.default_rng(seed)
+    codes = synthesize_clustered_codes(8, rng, bounds)
+    scalar_rng = np.random.default_rng(seed)
+    ids = synthesize_clustered_ids(8, scalar_rng, bounds)
+    assert codes.tolist() == [pack_digits(digits) for digits in ids]
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 @given(
     st.integers(min_value=1, max_value=256),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -140,6 +165,127 @@ def test_streaming_digest_matches_dense_session_large(n, seed):
     session = rekey_session(server_table, tables, topology)
     summary = run_streaming_rekey(build_array_world(n, seed=seed))
     assert session.canonical_receipt_digest() == summary.digest
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_streaming_digest_matches_dense_session_tiny(n):
+    """The smallest worlds hand the digest thread no row block, or one
+    or two tiny ones, and still hash to the dense digest; with no
+    members both are the digest of no bytes."""
+    topology, server_table, tables = build_scale_world(n, seed=20)
+    session = rekey_session(server_table, tables, topology)
+    summary = run_streaming_rekey(build_array_world(n, seed=20))
+    assert summary.digest == session.canonical_receipt_digest()
+    if n == 0:
+        assert summary.digest == new_receipt_digest().hexdigest()
+
+
+#: Canonical receipt digests at seed 20 as hashing each shard's rows
+#: inline computed them; the 10⁶ digest is pinned by the 1M rung in
+#: ``benchmarks/test_scale_rss.py``.
+PINNED_DIGEST_1K = "b3ed5136bc1edd4bc562d53110d00202"
+PINNED_DIGEST_100K = "24e962041893c98cbdb12754d64b2247"
+
+
+def test_streaming_digest_pinned_at_1k():
+    summary = run_streaming_rekey(build_array_world(1_000, seed=20))
+    assert summary.digest == PINNED_DIGEST_1K
+
+
+# ----------------------------------------------------------------------
+# The digest thread: failures propagate, nothing hangs or leaks
+# ----------------------------------------------------------------------
+class _FailingHasher:
+    """A hasher whose ``update`` raises on the second block."""
+
+    def __init__(self):
+        self.blocks = 0
+
+    def update(self, block):
+        self.blocks += 1
+        if self.blocks == 2:
+            raise ValueError("hasher broke")
+
+
+def _session_outcome(world, deadline=30.0):
+    """Run one session on a thread of its own and fail if it is still
+    running after ``deadline`` seconds; return what it returned or
+    raised."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["summary"] = run_streaming_rekey(world)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(deadline)
+    assert not runner.is_alive(), "run_streaming_rekey hung"
+    return outcome
+
+
+def test_digest_failure_is_raised_and_the_thread_joined(monkeypatch):
+    threads_before = threading.active_count()
+    hashers = []
+
+    def failing_digest():
+        hashers.append(_FailingHasher())
+        return hashers[-1]
+
+    monkeypatch.setattr(scale, "new_receipt_digest", failing_digest)
+    outcome = _session_outcome(build_array_world(4_000, seed=20))
+    assert isinstance(outcome.get("error"), ValueError)
+    assert str(outcome["error"]) == "hasher broke"
+    assert hashers[0].blocks == 2  # the rest were drained, not hashed
+    assert threading.active_count() == threads_before
+
+
+def test_concurrent_sessions_under_rapid_switching_keep_the_digest():
+    """Four sessions at once (each with its digest thread, so more
+    threads than cores) with the interpreter switching threads every
+    microsecond: a block hashed out of order, twice or not at all would
+    change a digest."""
+    world = build_array_world(1_000, seed=20)
+    digests = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runners = [
+            threading.Thread(
+                target=lambda: digests.extend(
+                    run_streaming_rekey(world).digest for _ in range(5)
+                ),
+                daemon=True,
+            )
+            for _ in range(4)
+        ]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(60.0)
+            assert not runner.is_alive(), "a session hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == [PINNED_DIGEST_1K] * 20
+
+
+def test_shard_failure_mid_session_joins_the_digest_thread(monkeypatch):
+    threads_before = threading.active_count()
+    real_shards = scale.iter_streaming_shards
+
+    def failing_shards(world, processing_delay=0.0):
+        shards = real_shards(world, processing_delay)
+        yield next(shards)
+        yield next(shards)
+        raise RuntimeError("shard DP broke")
+
+    monkeypatch.setattr(scale, "iter_streaming_shards", failing_shards)
+    outcome = _session_outcome(build_array_world(4_000, seed=20))
+    assert isinstance(outcome.get("error"), RuntimeError)
+    assert str(outcome["error"]) == "shard DP broke"
+    assert threading.active_count() == threads_before
 
 
 # ----------------------------------------------------------------------
@@ -351,4 +497,4 @@ def test_streaming_100k_rung_bounded():
     assert summary.level_counts[0] == 0
     assert sum(summary.level_counts) == 100_000
     assert summary.max_arrival > 0.0
-    assert len(summary.digest) == 32  # blake2b-128 hex
+    assert summary.digest == PINNED_DIGEST_100K

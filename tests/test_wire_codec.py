@@ -304,3 +304,10 @@ def test_no_pickle_import(package):
 def test_no_process_pool_import():
     """Replications run in process: nothing under ``src/repro`` forks."""
     assert _importers(SRC, {"multiprocessing", "concurrent"}) == []
+
+
+def test_only_the_scale_rung_imports_threading():
+    """Protocol code reaches time only through ``repro.net.scheduling``,
+    whose determinism lanes assume one thread; the one helper thread in
+    ``src/repro`` is the streaming rung's receipt-digest thread."""
+    assert _importers(SRC, {"threading"}) == ["perf/scale.py"]
