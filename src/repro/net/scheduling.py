@@ -119,12 +119,11 @@ class Transport:
     """Hosts exchanging messages over a topology with per-link latency.
 
     This is the single delivery implementation every backend shares: a
-    message arrives one-way-delay later unless the destination detached,
-    the legacy ``drop_filter`` eats it, or the installed
-    :class:`~repro.faults.FaultPlan` drops it.  The fault plan injects
-    here — at the transport seam — so loss, delay, reordering,
-    duplication, and crash windows behave identically under every
-    scheduler.
+    message arrives one-way-delay later unless the destination detached
+    or the installed :class:`~repro.faults.FaultPlan` drops it.  The
+    fault plan injects here — at the transport seam — so loss, delay,
+    reordering, duplication, and crash windows behave identically under
+    every scheduler.
     """
 
     def __init__(self, scheduler: Scheduler, topology: "Topology"):
@@ -132,8 +131,6 @@ class Transport:
         self.topology = topology
         self._nodes: Dict[int, "TransportNode"] = {}
         self.stats = MessageStats()
-        #: Optional fault hook: return True to drop a message.
-        self.drop_filter: Optional[Callable[[int, int, Any], bool]] = None
         #: Optional declarative fault schedule (see :mod:`repro.faults`).
         self.fault_plan: Optional["FaultPlan"] = None
 
@@ -155,13 +152,10 @@ class Transport:
 
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Queue a message; it arrives after the topology one-way delay
-        unless the destination detached, the drop filter eats it, or the
-        fault plan drops it.  The fault plan may also deliver the message
-        late (delay/reorder) or more than once (duplication)."""
+        unless the destination detached or the fault plan drops it.  The
+        fault plan may also deliver the message late (delay/reorder) or
+        more than once (duplication)."""
         self.stats.sent += 1
-        if self.drop_filter is not None and self.drop_filter(src, dst, payload):
-            self.stats.dropped += 1
-            return
         plan = self.fault_plan
         if plan is None:  # the loss-free path: one delivery, no extra delay
             self.scheduler.schedule(

@@ -8,6 +8,8 @@ by tests that share them (tests that mutate state build their own).
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,11 @@ from repro.core.neighbor_table import (
 )
 from repro.net import PlanetLabTopology, TransitStubParams, TransitStubTopology
 from repro.net.planetlab import MatrixTopology
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# The domain linter is a development tool, not part of ``repro``: its
+# package (``lintkit``) and gate script (``lint.py``) live in tools/.
+sys.path.append(str(REPO_ROOT / "tools"))
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles: "ci" keeps property tests fast enough for every
@@ -113,3 +120,12 @@ def gtitm_group(gtitm):
 def planetlab_group(planetlab):
     """48 users joined on the PlanetLab topology (read-only in tests)."""
     return make_group(planetlab, 48, seed=7)
+
+
+@pytest.fixture(scope="session")
+def shipped_lint():
+    """One full lint scan of ``src``, shared by every test that reads
+    the shipped tree's findings."""
+    from lintkit import LintEngine
+
+    return LintEngine([REPO_ROOT / "src"]).run()

@@ -24,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint import check_source
-from repro.lint.flow.cfg import AWAIT, PARAM, TEST, WRITE, build_cfg
-from repro.lint.flow.dataflow import (
+from lintkit import check_source
+from lintkit.flow.cfg import AWAIT, PARAM, TEST, WRITE, build_cfg
+from lintkit.flow.dataflow import (
     SEED_CONST,
     SEED_NONE,
     SEED_PARAM,

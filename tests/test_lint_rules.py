@@ -1,4 +1,4 @@
-"""Rule-level conformance for ``repro.lint`` (the ``-m lint`` lane).
+"""Rule-level conformance for ``tools/lintkit`` (the ``-m lint`` lane).
 
 Two layers of assurance:
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintEngine, check_source
+from lintkit import LintEngine, check_source
 
 pytestmark = pytest.mark.lint
 
@@ -346,14 +346,14 @@ BADTREE_EXPECTED = {
 
 @pytest.fixture(scope="module")
 def badtree_result():
-    return LintEngine([FIXTURES / "badtree"]).run(Baseline())
+    return LintEngine([FIXTURES / "badtree"]).run()
 
 
 @pytest.mark.parametrize("relpath,rule", sorted(BADTREE_EXPECTED.items()))
 def test_bad_fixture_canary(badtree_result, relpath, rule):
     fired = {
         violation.rule
-        for violation in badtree_result.new
+        for violation in badtree_result.violations
         if violation.path == relpath
     }
     assert rule in fired, (
@@ -363,13 +363,13 @@ def test_bad_fixture_canary(badtree_result, relpath, rule):
 
 
 def test_every_badtree_file_is_caught(badtree_result):
-    flagged = {violation.path for violation in badtree_result.new}
+    flagged = {violation.path for violation in badtree_result.violations}
     assert set(BADTREE_EXPECTED) <= flagged
 
 
 def test_goodtree_is_clean():
-    result = LintEngine([FIXTURES / "goodtree"]).run(Baseline())
-    assert result.new == []
+    result = LintEngine([FIXTURES / "goodtree"]).run()
+    assert result.violations == []
     # ... and the justified suppressions there are counted, not dropped.
     assert len(result.suppressed) == 2
 
@@ -381,10 +381,10 @@ def test_pre_pr_report_timer_would_have_been_flagged():
     """A fresh lint run over the pre-PR tree flags the ``time.time()``
     pair (ISSUE 5 satellite: the first determinism-rule regression
     fixture)."""
-    result = LintEngine([FIXTURES / "regression"]).run(Baseline())
+    result = LintEngine([FIXTURES / "regression"]).run()
     wall = [
         violation
-        for violation in result.new
+        for violation in result.violations
         if violation.rule == "determinism-wall-clock"
         and violation.path == "repro/experiments/report_pre_pr.py"
     ]
@@ -411,10 +411,10 @@ def test_drain_wall_start_race_would_have_been_flagged():
     real finding ``flow-await-race`` surfaced on the shipped tree
     (justify-suppressed there under the single-drain invariant) — keeps
     firing on its pre-suppression replica."""
-    result = LintEngine([FIXTURES / "regression"]).run(Baseline())
+    result = LintEngine([FIXTURES / "regression"]).run()
     races = [
         violation
-        for violation in result.new
+        for violation in result.violations
         if violation.rule == "flow-await-race"
         and violation.path == "repro/service/aio_drain_pre_pr.py"
     ]
@@ -425,10 +425,11 @@ def test_drain_wall_start_race_would_have_been_flagged():
     )
 
 
-def test_shipped_aio_suppression_is_justified_not_silent():
+def test_shipped_aio_suppression_is_justified_not_silent(shipped_lint):
     """The in-place suppression in ``repro.service.aio`` is counted as a
     justified suppression — never a naked directive, never a finding."""
-    source = (SRC_ROOT / "repro/service/aio.py").read_text()
-    found = check_source(source, relpath="repro/service/aio.py")
-    assert "lint-suppress" not in rules_of(found)
-    assert "flow-await-race" not in rules_of(found)
+    aio = "repro/service/aio.py"
+    assert [v.rule for v in shipped_lint.suppressed if v.path == aio] == [
+        "flow-await-race"
+    ]
+    assert not [v for v in shipped_lint.violations if v.path == aio]

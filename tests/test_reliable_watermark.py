@@ -4,9 +4,9 @@ Every data copy carries its burst's watermark; a member acknowledges it
 one hop up; a forwarder heartbeats only the next hops whose
 acknowledgement is ``heartbeat_interval`` overdue, at most
 ``heartbeat_rounds`` times; a node that first learns a watermark from a
-heartbeat relays it at once.  The tests read the wire through
-``Transport.drop_filter`` used as a tap (it sees every send, before the
-fault plan, and drops nothing).
+heartbeat relays it at once.  The tests read the wire through a tap
+wrapped round the session transport's ``send`` (it sees every send,
+before the fault plan, and drops nothing).
 """
 
 import pytest
@@ -38,12 +38,13 @@ def tapped_session(ids, plan=None, k=1, config=None):
     topology, _, tables, server_table = make_static_world(SCHEME, ids, seed=0, k=k)
     session = ReliableSession(tables, server_table, topology, plan=plan, config=config)
     wire = []
+    send = session.transport.send
 
     def tap(src, dst, payload):
         wire.append((session.scheduler.now, src, dst, payload))
-        return False
+        send(src, dst, payload)
 
-    session.transport.drop_filter = tap
+    session.transport.send = tap
     return session, wire, topology
 
 

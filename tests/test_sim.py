@@ -208,18 +208,6 @@ class TestNetwork:
         assert b.inbox == []
         assert net.stats.dropped == 1
 
-    def test_drop_filter(self):
-        sim = Simulator()
-        net = Transport(sim, star_topology())
-        a, b = EchoNode(net, 0), EchoNode(net, 1)
-        net.drop_filter = lambda src, dst, payload: payload == "bad"
-        a.send(1, "bad")
-        a.send(1, "good")
-        sim.run()
-        assert [p for _, p, _ in b.inbox] == ["good"]
-        assert net.stats.dropped == 1
-        assert net.stats.delivered == 1
-
     def test_double_attach_rejected(self):
         sim = Simulator()
         net = Transport(sim, star_topology())

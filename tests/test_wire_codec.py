@@ -14,6 +14,7 @@ import ast
 import asyncio
 import dataclasses
 import gc
+import importlib.util
 import pathlib
 import pickle
 import struct
@@ -30,6 +31,7 @@ from repro.service import wire
 from repro.service.wire import FrameError, Hello, decode_body, encode_frame
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+LINTKIT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "lintkit"
 
 u32 = st.integers(0, 2**32 - 1)
 ids = st.lists(st.integers(0, 255), max_size=6).map(Id)
@@ -290,7 +292,7 @@ def _imports(path: pathlib.Path):
 def _importers(root: pathlib.Path, packages):
     """Modules under ``root`` importing any of the top-level ``packages``."""
     return [
-        str(path.relative_to(SRC))
+        str(path.relative_to(root))
         for path in sorted(root.rglob("*.py"))
         if any(name.split(".")[0] in packages for name in _imports(path))
     ]
@@ -311,3 +313,12 @@ def test_only_the_scale_rung_imports_threading():
     whose determinism lanes assume one thread; the one helper thread in
     ``src/repro`` is the streaming rung's receipt-digest thread."""
     assert _importers(SRC, {"threading"}) == ["perf/scale.py"]
+
+
+@pytest.mark.lint
+def test_the_linter_stays_outside_the_shipped_package():
+    """The domain linter (``tools/lintkit``) analyses ``src/repro``
+    without importing it, and ``repro`` neither contains nor imports it."""
+    assert _importers(SRC, {"lintkit"}) == []
+    assert _importers(LINTKIT, {"repro"}) == []
+    assert importlib.util.find_spec("repro.lint") is None

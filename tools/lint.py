@@ -3,24 +3,17 @@
 
 Usage::
 
-    python tools/lint.py                      # lint src/ against the
-                                              # committed baseline
-    python tools/lint.py --baseline-write     # re-record the baseline
-                                              # (shrinks when findings
-                                              # are fixed)
+    python tools/lint.py                      # lint src/
     python tools/lint.py --rules determinism  # one family (or rule id)
     python tools/lint.py --list-rules         # the catalog
-    python tools/lint.py tests/lint_fixtures/badtree --no-baseline
-    python tools/lint.py --changed            # only files git sees as
-                                              # changed vs HEAD (fast
-                                              # pre-commit run)
-    python tools/lint.py --changed=main       # ... vs another ref
-    python tools/lint.py --format=sarif       # SARIF 2.1.0 for review UIs
+    python tools/lint.py tests/lint_fixtures/badtree
+    python tools/lint.py --json               # machine-readable report
 
-Exit codes: 0 — no new violations (baselined/suppressed findings are
-reported but do not gate); 2 — at least one new violation; 1 — usage or
-internal error.  See docs/STATIC_ANALYSIS.md for the rule catalog,
-suppression policy, and baseline workflow.
+Exit codes: 0 — no unsuppressed finding (justified suppressions are
+counted but do not gate); 2 — at least one unsuppressed finding; 1 —
+usage or internal error.  The analysis package, ``lintkit``, sits beside
+this script and is imported from here.  See docs/STATIC_ANALYSIS.md for
+the rule catalog and suppression policy.
 """
 
 from __future__ import annotations
@@ -28,16 +21,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import subprocess
 import sys
 from pathlib import Path
 
+from lintkit import LintEngine, all_rules, select_rules
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.lint import Baseline, LintEngine, all_rules, select_rules  # noqa: E402
-
-DEFAULT_BASELINE = REPO_ROOT / ".lint-baseline.json"
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -53,144 +42,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         "(default: <repo>/src)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help=f"baseline file (default: {DEFAULT_BASELINE.name})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: every finding is new",
-    )
-    parser.add_argument(
-        "--baseline-write",
-        action="store_true",
-        help="re-record the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--rules",
         help="comma-separated rule ids or families to run "
         "(default: all)",
     )
     parser.add_argument(
-        "--json", action="store_true",
-        help="machine-readable report (alias for --format=json)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (sarif renders in code-review UIs)",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        metavar="REF",
-        help="lint only files git reports as changed against REF "
-        "(default HEAD), plus untracked files — the fast pre-commit run; "
-        "exit codes are unchanged",
+        "--json", action="store_true", help="machine-readable report"
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog"
     )
     return parser.parse_args(argv)
-
-
-def _changed_files(ref: str) -> list[Path] | None:
-    """Absolute paths of ``.py`` files changed vs ``ref`` (tracked
-    diffs plus untracked files), or ``None`` when git is unusable —
-    the caller falls back to a full scan rather than gating on nothing.
-
-    Runs git in the current working directory, so the diff scope follows
-    wherever the gate is invoked (normally the repo root)."""
-    top = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-    )
-    if top.returncode != 0:
-        print(
-            "warning: not inside a git work tree; scanning the full tree "
-            "instead",
-            file=sys.stderr,
-        )
-        return None
-    base = Path(top.stdout.strip())
-    files: set[Path] = set()
-    for args in (
-        # Both spellings emit toplevel-relative paths.
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard", "--full-name"],
-    ):
-        proc = subprocess.run(args, capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(
-                f"warning: {' '.join(args)} failed "
-                f"({proc.stderr.strip() or 'no git?'}); "
-                "scanning the full tree instead",
-                file=sys.stderr,
-            )
-            return None
-        for line in proc.stdout.splitlines():
-            if line.endswith(".py"):
-                files.add((base / line).resolve())
-    return sorted(files)
-
-
-def _sarif_payload(result, rules) -> dict:
-    """SARIF 2.1.0: the *new* findings only, so a reviewer sees exactly
-    what gates (baselined/suppressed findings stay out, matching the
-    exit code)."""
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "docs/STATIC_ANALYSIS.md",
-                        "rules": [
-                            {
-                                "id": rule.rule_id,
-                                "shortDescription": {"text": rule.description},
-                                "help": {"text": f"enforces: {rule.citation}"},
-                                "defaultConfiguration": {
-                                    "level": rule.severity
-                                },
-                            }
-                            for rule in rules
-                        ],
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": violation.rule,
-                        "level": violation.severity,
-                        "message": {"text": violation.message},
-                        "locations": [
-                            {
-                                "physicalLocation": {
-                                    "artifactLocation": {
-                                        "uri": violation.path,
-                                        "uriBaseId": "SRCROOT",
-                                    },
-                                    "region": {
-                                        "startLine": violation.line,
-                                        "startColumn": violation.col + 1,
-                                        "snippet": {"text": violation.source},
-                                    },
-                                }
-                            }
-                        ],
-                    }
-                    for violation in result.new
-                ],
-            }
-        ],
-    }
 
 
 def _list_rules() -> int:
@@ -217,53 +79,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    only = None
-    if args.changed is not None:
-        only = _changed_files(args.changed)
-        if only == []:
-            # Nothing changed: scan nothing, gate on nothing.
-            print("no changed .py files; nothing to lint")
-            return 0
-
-    engine = LintEngine(roots, rules=rules, only=only)
-    baseline = (
-        Baseline() if args.no_baseline else Baseline.load(args.baseline)
-    )
-    result = engine.run(baseline)
-
-    if args.baseline_write:
-        Baseline.from_violations(result.violations).save(args.baseline)
-        print(
-            f"baseline written: {args.baseline} "
-            f"({len(result.violations)} finding(s) recorded)"
-        )
-        return 0
-
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    result = LintEngine(roots, rules=rules).run()
+    if args.json:
         payload = {
             "summary": result.summary(),
-            "new": [dataclasses.asdict(v) for v in result.new],
-            "baselined": [dataclasses.asdict(v) for v in result.baselined],
+            "violations": [dataclasses.asdict(v) for v in result.violations],
             "suppressed": [dataclasses.asdict(v) for v in result.suppressed],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "sarif":
-        print(
-            json.dumps(
-                _sarif_payload(result, engine.rules),
-                indent=2,
-                sort_keys=True,
-            )
-        )
     else:
-        for violation in result.new:
+        for violation in result.violations:
             print(violation.render())
-        if result.baselined:
-            print(f"({len(result.baselined)} baselined finding(s) not shown; "
-                  "run --baseline-write after fixing to shrink the baseline)")
         print(result.summary())
-    return 2 if result.new else 0
+    return 2 if result.violations else 0
 
 
 if __name__ == "__main__":
